@@ -44,6 +44,13 @@ class Session:
         self.t += 1
         self._action = self._gen.send(feedback)
 
+    def close(self):
+        """End the generator; its frame refers back to the session, so a
+        finished session would otherwise wait for the cycle collector."""
+        if self._gen is not None:
+            self._gen.close()
+            self._gen = None
+
 
 # ---------------------------------------------------------------------------
 # uniform exploration with the loser rule
@@ -388,6 +395,9 @@ class CompletionAdapterSession(Session):
         bit = 1.0 if self.rng.random() < reward else 0.0
         self.inner.observe(bit)
         self.t += 1
+
+    def close(self):
+        self.inner.close()
 
 
 def completion_adapter(inner, dense_rounding, rng=None):

@@ -211,7 +211,8 @@ class MaxMinLCDExperts(Session):
             q_exponent = delta ** -self.b
             q_t = 2.0 ** q_exponent if q_exponent < 1023 else math.inf
             quota = self.active_cap if q_t > self.active_cap else int(q_t)
-            queries = net + tuple(x for x in prev_active if x not in set(net))
+            net_set = set(net)
+            queries = net + tuple(x for x in prev_active if x not in net_set)
             phase = {"phase": i, "length": T, "start": rounds, "j": j,
                      "r": r, "delta": delta, "Q_T": q_t, "quota": quota,
                      "quota_capped": q_t > self.active_cap,

@@ -226,42 +226,45 @@ def run_match(config, seed=None):
     rewards = np.empty(horizon)
     means = np.empty(horizon)
     actions = [] if config.record_actions else None
-    if session.mode == "bandit":
-        for t in range(horizon):
-            x = session.choose()
-            reward = instance.bandit_reward(x, inst_rng)
-            session.observe(reward)
-            rewards[t] = reward
-            means[t] = instance.mean(x)
-            if actions is not None:
-                actions.append(x)
-    elif session.mode == "double":
-        sampler = _RoundSampler(instance, inst_rng)
-        for t in range(horizon):
-            action = session.choose()
-            peeks, bet_reward = sampler.rewards((action.peek,), action.bet)
-            session.observe((bet_reward, float(peeks[0])))
-            rewards[t] = bet_reward
-            means[t] = instance.mean(action.bet)
-            if actions is not None:
-                actions.append(action.bet)
-    elif session.mode == "full":
-        sampler = _RoundSampler(instance, inst_rng)
-        mean_cache = {}
-        for t in range(horizon):
-            action = session.choose()
-            feedback, bet_reward = sampler.rewards(action.queries, action.bet)
-            session.observe(feedback)
-            rewards[t] = bet_reward
-            mu = mean_cache.get(action.bet)
-            if mu is None:
-                mu = instance.mean(action.bet)
-                mean_cache[action.bet] = mu
-            means[t] = mu
-            if actions is not None:
-                actions.append(action.bet)
-    else:
-        raise ValidationError(f"unknown session mode {session.mode!r}")
+    try:
+        if session.mode == "bandit":
+            for t in range(horizon):
+                x = session.choose()
+                reward = instance.bandit_reward(x, inst_rng)
+                session.observe(reward)
+                rewards[t] = reward
+                means[t] = instance.mean(x)
+                if actions is not None:
+                    actions.append(x)
+        elif session.mode == "double":
+            sampler = _RoundSampler(instance, inst_rng)
+            for t in range(horizon):
+                action = session.choose()
+                peeks, bet_reward = sampler.rewards((action.peek,), action.bet)
+                session.observe((bet_reward, float(peeks[0])))
+                rewards[t] = bet_reward
+                means[t] = instance.mean(action.bet)
+                if actions is not None:
+                    actions.append(action.bet)
+        elif session.mode == "full":
+            sampler = _RoundSampler(instance, inst_rng)
+            mean_cache = {}
+            for t in range(horizon):
+                action = session.choose()
+                feedback, bet_reward = sampler.rewards(action.queries, action.bet)
+                session.observe(feedback)
+                rewards[t] = bet_reward
+                mu = mean_cache.get(action.bet)
+                if mu is None:
+                    mu = instance.mean(action.bet)
+                    mean_cache[action.bet] = mu
+                means[t] = mu
+                if actions is not None:
+                    actions.append(action.bet)
+        else:
+            raise ValidationError(f"unknown session mode {session.mode!r}")
+    finally:
+        session.close()
     return RegretTrace(
         algorithm=config.algorithm.get("name", "unknown"),
         instance=config.instance.get("kind", "unknown"),

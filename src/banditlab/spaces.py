@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from .errors import (
     ResolutionError,
     StructuralError,
@@ -75,37 +77,31 @@ class DepthLevel:
 
     kind 'all': the whole space.  kind 'points': an explicit finite set.
     kind 'interval': a closed subrange [a, b] of an interval space.
-    kind 'prefix': the closure of one subtree of a tree space.
     """
 
-    def __init__(self, kind, points=None, bounds=None, prefix=None):
-        if kind not in ("all", "points", "interval", "prefix"):
+    def __init__(self, kind, points=None, bounds=None):
+        if kind not in ("all", "points", "interval"):
             raise ValidationError(f"unknown depth-level kind {kind!r}")
         self.kind = kind
         self.points = list(points) if points is not None else None
         self.bounds = tuple(bounds) if bounds is not None else None
-        self.prefix = tuple(prefix) if prefix is not None else None
 
     def contains(self, space, p):
         if self.kind == "all":
             return True
         if self.kind == "points":
             return any(space.distance(p, q) <= _EPS for q in self.points)
-        if self.kind == "interval":
-            a, b = self.bounds
-            return a - _EPS <= p <= b + _EPS
-        return tuple(p[: len(self.prefix)]) == self.prefix
+        a, b = self.bounds
+        return a - _EPS <= p <= b + _EPS
 
     def scan(self, space):
         if self.kind == "all":
             return space.scan_points()
         if self.kind == "points":
             return list(self.points)
-        if self.kind == "interval":
-            a, b = self.bounds
-            pts = [p for p in space.scan_points() if a - _EPS <= p <= b + _EPS]
-            return pts or [a]
-        return [p for p in space.scan_points() if self.contains(space, p)]
+        a, b = self.bounds
+        pts = [p for p in space.scan_points() if a - _EPS <= p <= b + _EPS]
+        return pts or [a]
 
     def descriptor(self):
         d = {"kind": self.kind}
@@ -113,8 +109,6 @@ class DepthLevel:
             d["points"] = list(self.points)
         if self.bounds is not None:
             d["bounds"] = list(self.bounds)
-        if self.prefix is not None:
-            d["prefix"] = list(self.prefix)
         return d
 
     @staticmethod
@@ -123,7 +117,6 @@ class DepthLevel:
             d["kind"],
             points=d.get("points"),
             bounds=d.get("bounds"),
-            prefix=d.get("prefix"),
         )
 
 
@@ -216,6 +209,13 @@ class MetricSpace:
     def descriptor(self):
         raise NotImplementedError
 
+    def _cached(self, key, build):
+        """Oracle structure built on first use and kept with the space."""
+        cache = self.__dict__.setdefault("_oracle_cache", {})
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
+
 
 def _attach_depth(space, depth_chain, dimension):
     if depth_chain is not None:
@@ -224,6 +224,13 @@ def _attach_depth(space, depth_chain, dimension):
             dimension=dimension,
         )
     return space
+
+
+def _depth_descriptor(space, d):
+    if space.depth_structure is not None:
+        d["depth_chain"] = [lv.descriptor() for lv in space.depth_structure.levels]
+        d["depth_dimension"] = space.depth_structure.dimension
+    return d
 
 
 class IntervalSpace(MetricSpace):
@@ -287,23 +294,42 @@ class IntervalSpace(MetricSpace):
         }
         if self.well_order:
             d["well_order"] = self.well_order
-        if self.depth_structure is not None:
-            d["depth_chain"] = [lv.descriptor() for lv in self.depth_structure.levels]
-            d["depth_dimension"] = self.depth_structure.dimension
-        return d
+        return _depth_descriptor(self, d)
 
 
-def _greedy_cover(points, k, dist):
-    """Farthest-point traversal; returns (delta, centers) with delta computed
-    by exhaustive scan, so coverage is certified on the truncation."""
-    centers = [points[0]]
-    while len(centers) < k:
-        far = max(points, key=lambda p: min(dist(p, c) for c in centers))
-        if min(dist(far, c) for c in centers) <= 0:
-            break
-        centers.append(far)
-    delta = max(min(dist(p, c) for c in centers) for p in points)
-    return delta, centers
+class _FarthestPointTraversal:
+    """Farthest-point traversal of a finite point set on the line, grown on
+    demand.  Each new center is the first point farthest from the centers so
+    far, so the first k centers are the same for every budget k and one
+    traversal answers all of them.  mind holds every point's distance to its
+    nearest center; deltas[m] is its maximum once centers order[:m + 1] are
+    placed, which certifies the covering on the truncation."""
+
+    def __init__(self, points):
+        self.points = points
+        self.coords = np.array(points, dtype=float)
+        self.mind = np.abs(self.coords - self.coords[0])
+        self.order = [0]
+        self.deltas = [float(self.mind.max())]
+
+    def cover(self, k):
+        # a zero delta means every point lies on a center: nothing is left
+        while len(self.order) < k and self.deltas[-1] > 0:
+            j = int(np.argmax(self.mind))
+            self.order.append(j)
+            np.minimum(self.mind, np.abs(self.coords - self.coords[j]),
+                       out=self.mind)
+            self.deltas.append(float(self.mind.max()))
+        m = min(k, len(self.order))
+        return self.deltas[m - 1], [self.points[i] for i in self.order[:m]]
+
+
+def _traversal_cover(space, key, points, k):
+    """(delta, centers) of budget k from the space's cached traversal of
+    points; a budget that fits every point returns them all at delta 0."""
+    if len(points) <= k:
+        return 0.0, list(points)
+    return space._cached(key, lambda: _FarthestPointTraversal(points)).cover(k)
 
 
 def _line_cover_count(values, delta):
@@ -354,15 +380,14 @@ class FiniteSpace(MetricSpace):
         return [list(self.coords)]
 
     def covering(self, k):
-        if len(self.coords) <= k:
-            return 0.0, list(self.coords)
-        return _greedy_cover(self.coords, k, lambda a, b: abs(a - b))
+        return _traversal_cover(self, "covering", self.coords, k)
 
     def covering_number_exact(self, delta):
         return _line_cover_count(self.coords, delta)
 
     def descriptor(self):
-        return {"kind": "finite", "coords": list(self.coords)}
+        return _depth_descriptor(
+            self, {"kind": "finite", "coords": list(self.coords)})
 
 
 class ConvergentSpace(MetricSpace):
@@ -452,9 +477,7 @@ class ConvergentUnionSpace(MetricSpace):
         return [self._iso, sorted(set(self.limits))]
 
     def covering(self, k):
-        if len(self._points) <= k:
-            return 0.0, list(self._points)
-        return _greedy_cover(self._points, k, lambda a, b: abs(a - b))
+        return _traversal_cover(self, "covering", self._points, k)
 
     def covering_number_exact(self, delta):
         return _line_cover_count(self._points, delta)
@@ -496,9 +519,7 @@ class NestedConvergentSpace(MetricSpace):
         return [sorted(self._iso), sorted(self._mid), [0.0]]
 
     def covering(self, k):
-        if len(self._points) <= k:
-            return 0.0, list(self._points)
-        return _greedy_cover(self._points, k, lambda a, b: abs(a - b))
+        return _traversal_cover(self, "covering", self._points, k)
 
     def covering_number_exact(self, delta):
         return _line_cover_count(self._points, delta)
@@ -652,17 +673,49 @@ def covering_oracle(space, k):
     return delta, points
 
 
-def _in_closure(space, p, balls):
-    return any(space.distance(p, b.center) <= b.radius + _EPS for b in balls)
+_MASK_CELLS = 1 << 16  # scan points x balls compared per numpy block
+
+
+def _scan_array(space, level=None):
+    """(points, coords): the scan set of a depth level (None: of the whole
+    space) sorted by canonical_key, and its float64 coordinates."""
+
+    def build():
+        src = space.scan_points() if level is None else level.scan(space)
+        points = sorted(src, key=space.canonical_key)
+        coords = np.array(points, dtype=float)
+        if coords.ndim != 1:
+            raise UnsupportedCapabilityError(
+                f"scan oracles need points on the line, not {space.kind} points")
+        return points, coords
+
+    return space._cached(level, build)
+
+
+def _ball_union(coords, balls, open_balls=False):
+    """Mask of the coordinates inside some ball: |p - c| <= r + _EPS for the
+    closed balls, |p - c| < r - _EPS for the open ones."""
+    centers = np.array([b.center for b in balls], dtype=float)
+    radii = np.array([b.radius for b in balls], dtype=float)
+    bounds = radii - _EPS if open_balls else radii + _EPS
+    mask = np.zeros(len(coords), dtype=bool)
+    step = max(1, _MASK_CELLS // max(1, len(coords)))
+    for lo in range(0, len(balls), step):
+        dist = np.abs(coords[:, None] - centers[lo:lo + step])
+        bound = bounds[lo:lo + step]
+        hit = dist < bound if open_balls else dist <= bound
+        mask |= hit.any(axis=1)
+    return mask
 
 
 def ordering_oracle(space, balls):
     if not balls:
         raise ValidationError("ordering oracle needs at least one ball")
     space.order_key(space.canonical_least())  # capability probe
-    covered = [p for p in space.scan_points() if _in_closure(space, p, balls)]
+    points, coords = _scan_array(space)
+    covered = [points[i] for i in np.flatnonzero(_ball_union(coords, balls))]
     if not covered:
-        return min(space.scan_points(), key=space.order_key)
+        return min(points, key=space.order_key)
     return max(covered, key=space.order_key)
 
 
@@ -670,10 +723,7 @@ def rank_covering_oracle(space, rank, k):
     classes = space.rank_classes()
     if not 0 <= rank < len(classes):
         raise ValidationError(f"rank {rank} out of range for CB rank {len(classes) - 1}")
-    pts = classes[rank]
-    if len(pts) <= k:
-        return 0.0, list(pts)
-    return _greedy_cover(pts, k, space.distance)
+    return _traversal_cover(space, ("rank", rank), classes[rank], k)
 
 
 def _require_depth(space):
@@ -687,9 +737,11 @@ def depth_oracle(space, balls):
     if not balls:
         raise ValidationError("depth oracle needs at least one ball")
     for level in reversed(ds.levels):
-        hits = [p for p in level.scan(space) if _in_closure(space, p, balls)]
-        if hits:
-            return min(hits, key=space.canonical_key)
+        points, coords = _scan_array(space, level)
+        hits = np.flatnonzero(_ball_union(coords, balls))
+        if len(hits):
+            # the scan is sorted by canonical_key: the first hit is the least
+            return points[hits[0]]
     raise ResolutionError("no scan point of any chain set lies in the ball union")
 
 
@@ -702,13 +754,10 @@ class CoverResult:
 def cover_oracle(space, anchor, balls):
     ds = _require_depth(space)
     lam = 0 if anchor is None else ds.depth_of(space, anchor)
-    level = ds.levels[lam]
-    for p in sorted(level.scan(space), key=space.canonical_key):
-        inside = any(
-            space.distance(p, b.center) < b.radius - _EPS for b in balls
-        )
-        if not inside:
-            return CoverResult(False, p)
+    points, coords = _scan_array(space, ds.levels[lam])
+    outside = np.flatnonzero(~_ball_union(coords, balls, open_balls=True))
+    if len(outside):
+        return CoverResult(False, points[outside[0]])
     return CoverResult(True)
 
 
@@ -848,9 +897,6 @@ def ball_tree_violations(tree, space):
 # ---------------------------------------------------------------------------
 # descriptors
 
-_SPACE_KINDS = {}
-
-
 def space_from_descriptor(d):
     kind = d.get("kind")
     if kind == "interval":
@@ -862,7 +908,11 @@ def space_from_descriptor(d):
             depth_dimension=d.get("depth_dimension", 1.0),
         )
     if kind == "finite":
-        return FiniteSpace(d["coords"])
+        return FiniteSpace(
+            d["coords"],
+            depth_chain=d.get("depth_chain"),
+            depth_dimension=d.get("depth_dimension", 0.0),
+        )
     if kind == "convergent":
         return ConvergentSpace(d.get("n_max", 100))
     if kind == "convergent_union":

@@ -274,6 +274,7 @@ def _golden_configs():
                      {"kind": "points", "points": [0.8]}]).descriptor()
     convergent = sps.ConvergentSpace(100).descriptor()
     finite = sps.FiniteSpace([0.0, 1.0]).descriptor()
+    union = sps.ConvergentUnionSpace([(0.0, 1, 40), (2.0, 1, 40)]).descriptor()
 
     def peak(space_d):
         return {"kind": "peak", "space": space_d, "peak": 0.8,
@@ -283,6 +284,8 @@ def _golden_configs():
                        "slope": 0.5, "c": 0.9, "noise": "bernoulli"}
     arms = {"kind": "arms", "space": finite, "means": [0.3, 0.7],
             "noise": "bernoulli"}
+    union_peak = {"kind": "peak", "space": union, "peak": 0.0,
+                  "slope": 0.25, "c": 0.9, "noise": "bernoulli"}
     return {
         "ucb1": (finite, arms, {"name": "ucb1", "arms": [0.0, 1.0]}, 512),
         "well_ordered_bandit": (convergent, convergent_peak,
@@ -301,6 +304,11 @@ def _golden_configs():
                           {"name": "naive_experts", "b": 1.0}, 256),
         "maxminlcd_experts": (decomposed, peak(decomposed),
                               {"name": "maxminlcd_experts", "b": 1.0}, 256),
+        # greedy farthest-point covering on an explicit union space
+        "phased_ucb1_union": (union, union_peak,
+                              {"name": "phased_ucb1"}, 512),
+        "naive_experts_union": (union, union_peak,
+                                {"name": "naive_experts", "b": 1.0}, 256),
     }
 
 

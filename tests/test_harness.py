@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -92,6 +94,39 @@ def test_expert_mode_trace():
     assert trace.info["phases"]
     # zero noise: bet rewards equal bet means round by round
     assert np.allclose(trace.rewards, trace.means)
+
+
+@pytest.mark.parametrize("space, algorithm", [
+    (sps.ConvergentUnionSpace([(0.0, 1, 40), (2.0, 1, 40)]),
+     {"name": "phased_ucb1"}),
+    (sps.IntervalSpace(well_order="coordinate"),
+     {"name": "completion_adapter", "inner": {"name": "well_ordered_bandit"}}),
+], ids=["session", "completion_adapter"])
+def test_finished_match_frees_session_and_space(monkeypatch, space, algorithm):
+    """A finished match leaves no reference cycle, so the session, the space
+    and its oracle caches go at once, not at the next cycle collection."""
+    refs = []
+    materialize = hn._materialize
+
+    def spy(config, seed):
+        instance, session, rng = materialize(config, seed)
+        refs.extend([weakref.ref(session), weakref.ref(instance.space)])
+        return instance, session, rng
+
+    monkeypatch.setattr(hn, "_materialize", spy)
+    config = hn.ExperimentConfig(
+        space=space.descriptor(),
+        instance={"kind": "peak", "space": space.descriptor(), "peak": 0.0,
+                  "slope": 0.25, "c": 0.9, "noise": "bernoulli"},
+        algorithm=algorithm, horizon=300)
+    gc.collect()
+    gc.disable()
+    try:
+        hn.run_match(config)
+        alive = [ref() is not None for ref in refs]
+    finally:
+        gc.enable()
+    assert alive == [False, False]
 
 
 # ---------------------------------------------------------------------------

@@ -277,11 +277,15 @@ def test_space_descriptor_round_trip():
         sps.NestedConvergentSpace(4, 4),
         sps.TreeSpace(eps=0.5, b=0.5, depth=6),
         _decomposed_interval(),
+        sps.FiniteSpace([0.0, 0.25, 0.5, 1.0], depth_dimension=0.5,
+                        depth_chain=[{"kind": "all"},
+                                     {"kind": "points", "points": [0.25]}]),
     ]
     for space in spaces:
         clone = sps.space_from_descriptor(space.descriptor())
         assert clone.descriptor() == space.descriptor()
         assert clone.scan_points() == space.scan_points()
+        assert (clone.depth_structure is None) == (space.depth_structure is None)
 
 
 def test_nested_convergent_structure():
