@@ -2,6 +2,7 @@
 
 import json
 import math
+import os
 import pathlib
 
 import numpy as np
@@ -265,6 +266,21 @@ def test_criterion_9_dimension_estimators():
 # ---------------------------------------------------------------------------
 
 
+def _sign_mixtures(space_d):
+    return {
+        "lineage": {"kind": "lineage", "space": space_d, "tree_depth": 4,
+                    "gamma": 0.3, "depth_cap": 4, "seed": 0,
+                    "lineage": "seeded"},
+        "noncompact": {"kind": "noncompact", "space": space_d,
+                       "centers": [0.1, 0.3, 0.5, 0.7, 0.9], "r": 0.05,
+                       "sizes": [2, 3], "t_schedule": None, "seed": 0,
+                       "guarantee_breaking": True},
+        "maxminlcd": {"kind": "maxminlcd", "space": space_d, "b": 0.5,
+                      "depth_cap": 3, "seed": 0, "n_list": [3, 3, 3],
+                      "guarantee_breaking": True},
+    }
+
+
 def _golden_configs():
     plain = _interval().descriptor()
     ordered = sps.IntervalSpace(well_order="coordinate").descriptor()
@@ -309,13 +325,22 @@ def _golden_configs():
                               {"name": "phased_ucb1"}, 512),
         "naive_experts_union": (union, union_peak,
                                 {"name": "naive_experts", "b": 1.0}, 256),
+        # sign-mixture sampling: bandit_reward and the experts sampler
+        **{f"{alg['name']}_{kind}": (plain, desc, alg, 256)
+           for kind, desc in _sign_mixtures(plain).items()
+           for alg in ({"name": "phased_ucb1"},
+                       {"name": "naive_experts", "b": 1.0})},
     }
 
 
 def test_criterion_10_golden_traces():
+    """A missing golden fails; BANDITLAB_RECORD_GOLDEN=1 records it from
+    the code under test instead."""
+    record = os.environ.get("BANDITLAB_RECORD_GOLDEN") == "1"
     GOLDEN_DIR.mkdir(exist_ok=True)
     ok = True
     created = []
+    missing = []
     for name, (space_d, inst_d, alg_d, horizon) in _golden_configs().items():
         config = hn.ExperimentConfig(space=space_d, instance=inst_d,
                                      algorithm=alg_d, horizon=horizon)
@@ -324,12 +349,17 @@ def test_criterion_10_golden_traces():
         payload = [tr.to_payload() for tr in seq]
         ok = ok and payload == [tr.to_payload() for tr in par]
         path = GOLDEN_DIR / f"{name}.json"
-        if not path.exists():
+        if path.exists():
+            ok = ok and payload == json.loads(path.read_text())
+        elif record:
             path.write_text(json.dumps(payload, indent=1))
             created.append(name)
         else:
-            ok = ok and payload == json.loads(path.read_text())
+            ok = False
+            missing.append(name)
     detail = f"{len(_golden_configs())} algorithms bit-exact"
     if created:
         detail += f"; recorded {len(created)} new golden files"
+    if missing:
+        detail += f"; missing golden files: {', '.join(missing)}"
     _report(10, "golden trace determinism", ok, detail)
