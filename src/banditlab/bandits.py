@@ -19,7 +19,9 @@ _POINT_BALL_RADIUS = 1e-15  # stands in for a closed ball of radius zero
 
 class Session:
     """Generator-backed stepping state.  Subclasses implement _run() as an
-    infinite generator that yields actions and receives feedback."""
+    infinite generator that yields actions and receives feedback.  An
+    experts action may stand for a block of rounds, so `t` counts observe()
+    calls, not rounds."""
 
     mode = "bandit"
 
@@ -66,10 +68,14 @@ class ExplRun:
         self.space = space
         self.n = n
         self.r = r
-        self.delta, self.points = sp.covering_oracle(space, k)
+        self.points = self._cover(k)
         self.sums = {x: 0.0 for x in self.points}
         self.queue = [x for x in self.points for _ in range(n)]
         self.pos = 0
+
+    def _cover(self, k):
+        self.delta, points = sp.covering_oracle(self.space, k)
+        return points
 
     @property
     def finished(self):
@@ -78,9 +84,11 @@ class ExplRun:
     def next_point(self):
         return self.queue[self.pos]
 
-    def record(self, reward):
+    def record(self, reward, count=1):
+        """Add the summed reward of the next `count` pulls, all of the
+        current point; the sums start at 0.0, so a block sum is exact."""
         self.sums[self.queue[self.pos]] += reward
-        self.pos += 1
+        self.pos += count
 
     def averages(self):
         return {x: self.sums[x] / self.n for x in self.points}
@@ -104,37 +112,17 @@ def expl(space, k, n, r, pull):
     return run.result()
 
 
-class ExplPrimeRun:
+class ExplPrimeRun(ExplRun):
     """Rank-stratified exploration: covers every Cantor-Bendixson rank class,
     pulls each point n times, and picks the largest-rank undominated point."""
 
-    def __init__(self, space, k, n, r):
-        if k < 1 or n < 1 or r <= 0:
-            raise ValidationError("need k, n >= 1 and r > 0")
-        self.space = space
-        self.n = n
-        self.r = r
-        rank_count = sp.cb_rank(space) + 1
+    def _cover(self, k):
         self.rank_of = {}
-        for rank in range(rank_count):
-            _delta, pts = sp.rank_covering_oracle(space, rank, k)
+        for rank in range(sp.cb_rank(self.space) + 1):
+            _delta, pts = sp.rank_covering_oracle(self.space, rank, k)
             for x in pts:
                 self.rank_of[x] = rank
-        self.points = sorted(self.rank_of, key=space.canonical_key)
-        self.sums = {x: 0.0 for x in self.points}
-        self.queue = [x for x in self.points for _ in range(n)]
-        self.pos = 0
-
-    @property
-    def finished(self):
-        return self.pos >= len(self.queue)
-
-    def next_point(self):
-        return self.queue[self.pos]
-
-    def record(self, reward):
-        self.sums[self.queue[self.pos]] += reward
-        self.pos += 1
+        return sorted(self.rank_of, key=self.space.canonical_key)
 
     def result(self):
         avg = {x: self.sums[x] / self.n for x in self.points}
@@ -279,22 +267,20 @@ def ucb1(arms):
     return UCB1Session(arms)
 
 
-def _net_for_radius(space, radius, max_budget=2 ** 20):
-    """Smallest doubling budget whose covering has delta <= radius; returns
-    (points, delta, saturated_flag)."""
-    k = 1
-    best = None
-    while k <= max_budget:
+def _net_for_radius(space, radius, k=1, max_budget=2 ** 20):
+    """Smallest doubling budget from k whose covering has delta <= radius;
+    returns (points, delta, saturated_flag, budget).  A budget that failed at
+    some radius also fails at any smaller one, so a search over shrinking
+    radii may restart from the budget the previous search stopped at."""
+    while True:
         delta, points = sp.covering_oracle(space, k)
-        best = (points, delta)
         if delta <= radius + 1e-12:
             # delta 0 means the net is the whole space and cannot refine
-            return points, delta, delta <= 0.0
-        if len(points) < k:
+            return points, delta, delta <= 0.0, k
+        if len(points) < k or 2 * k > max_budget:
             # covering stopped growing: the space cannot be covered finer
-            return points, delta, True
+            return points, delta, True, k
         k *= 2
-    return best[0], best[1], True
 
 
 def _tstar(n_balls, eps):
@@ -320,8 +306,8 @@ class PhasedUCB1Session(Session):
         while True:
             eps = 2.0 ** -k
             if not saturated:
-                net, _delta, saturated = _net_for_radius(self.space, eps)
-                next_net, _d2, _s2 = _net_for_radius(self.space, eps / 2.0)
+                net, _delta, saturated, _k = _net_for_radius(self.space, eps)
+                next_net, *_ = _net_for_radius(self.space, eps / 2.0)
             else:
                 next_net = net
             tstar_k = _tstar(len(net), eps)

@@ -1,13 +1,15 @@
 """Full-feedback and double-feedback algorithms.
 
 Sessions follow the same choose()/observe() step API as the bandit sessions,
-but actions carry side channels: a double-feedback action has a free peek,
-a full-feedback action has a finite query list.  Collected reward always
-comes from the bet alone.
+but an action is a block of rounds with one bet and a finite query list:
+one peek in double feedback, a whole net in full feedback.  The algorithms
+are non-adaptive within a phase or sweep point, so one action covers it.
+Collected reward always comes from the bet alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -20,15 +22,20 @@ _ACTIVE_SET_CAP = 4096
 
 @dataclass(frozen=True)
 class ExpertAction:
+    """Bet `bet` and query every point of `queries` for `rounds` rounds in a
+    row.  The session is then sent the column sums of the query feedback
+    over those rounds, added in round order, as a float64 array."""
+
     bet: object
-    peek: object = None
     queries: tuple = ()
+    rounds: int = 1
 
 
 class DoubleFeedbackExpert(Session):
     """Phases of length 2^i; peeks run an exploration sweep with
     k = n = floor(sqrt(T)) and r = 4 sqrt(T^{1/4}/n); bets replay the
-    previous phase's sweep output, so bets never depend on current peeks."""
+    previous phase's sweep output, so bets never depend on current peeks.
+    Each sweep point is one action; so is the rest of the phase."""
 
     mode = "double"
 
@@ -38,9 +45,8 @@ class DoubleFeedbackExpert(Session):
 
     def _run(self):
         bet = self.space.canonical_least()
-        i = 1
         rounds = 0
-        while True:
+        for i in itertools.count(1):
             T = 2 ** i
             k = max(1, math.floor(math.sqrt(T)))
             n = k
@@ -50,44 +56,31 @@ class DoubleFeedbackExpert(Session):
                      "k": k, "n": n, "r": r, "bet": bet,
                      "explore_cost": len(sweep.queue), "completed": False}
             self.info["phases"].append(phase)
-            next_bet = bet
-            for _ in range(T):
-                if not sweep.finished:
-                    peek = sweep.next_point()
-                    _bet_reward, peek_reward = yield ExpertAction(bet, peek=peek)
-                    sweep.record(peek_reward)
-                    if sweep.finished:
-                        next_bet = sweep.result()
-                        phase["completed"] = True
-                else:
-                    yield ExpertAction(bet, peek=next_bet)
-                rounds += 1
+            # the queue holds every point n times in a row
+            for x in sweep.points:
+                sums = yield ExpertAction(bet, queries=(x,), rounds=n)
+                sweep.record(float(sums[0]), count=n)
+            next_bet = sweep.result()
+            phase["completed"] = True
+            tail = T - len(sweep.queue)
+            if tail:
+                yield ExpertAction(bet, queries=(next_bet,), rounds=tail)
+            rounds += T
             bet = next_bet
-            i += 1
 
 
 def double_feedback_expert(space):
     return DoubleFeedbackExpert(space)
 
 
-def _hitting_set(space, delta):
-    """delta-hitting set via the covering oracle with a doubling budget;
-    coarsens (and flags) when the space cannot be covered that finely."""
-    points, achieved, saturated = _net_for_radius(space, delta)
-    return tuple(points), achieved, saturated
-
-
-class NaiveExperts(Session):
-    """Phases of length 2^i; each phase queries a fixed delta-hitting set
-    with delta = T^{-1/(b+2)} (uniform variant: T^{-1/b}) and bets the
-    previous phase's best sample average."""
+class _FullFeedback(Session):
+    """Phases of length T = 2^i, each one action, at the scale
+    delta = T^{-1/(b+2)} (uniform variant: T^{-1/b}, needs b >= 2)."""
 
     mode = "full"
 
-    def __init__(self, space, b, uniform=False):
+    def __init__(self, space, b, uniform):
         super().__init__()
-        if b < 0:
-            raise ValidationError("b must be nonnegative")
         if uniform and b < 2:
             raise ValidationError("uniform variant requires b >= 2")
         self.space = space
@@ -99,28 +92,36 @@ class NaiveExperts(Session):
             return float(T) ** (-1.0 / self.b)
         return float(T) ** (-1.0 / (self.b + 2.0))
 
+
+class NaiveExperts(_FullFeedback):
+    """Each phase queries a fixed delta-hitting set and bets the previous
+    phase's best sample average.  The hitting set comes from the covering
+    oracle with a doubling budget; it coarsens (and is flagged) where the
+    space cannot be covered that finely."""
+
+    def __init__(self, space, b, uniform=False):
+        if b < 0:
+            raise ValidationError("b must be nonnegative")
+        super().__init__(space, b, uniform)
+
     def _run(self):
         bet = self.space.canonical_least()
-        i = 1
         rounds = 0
-        while True:
+        for i in itertools.count(1):
             T = 2 ** i
             delta = self._phase_delta(T)
-            queries, achieved, coarsened = _hitting_set(self.space, delta)
+            queries, achieved, coarsened, _k = _net_for_radius(
+                self.space, delta)
+            queries = tuple(queries)
             phase = {"phase": i, "length": T, "start": rounds,
                      "delta": delta, "delta_achieved": achieved,
                      "coarsened": coarsened, "net_size": len(queries),
                      "bet": bet}
             self.info["phases"].append(phase)
-            sums = [0.0] * len(queries)
-            for _ in range(T):
-                rewards = yield ExpertAction(bet, queries=queries)
-                for j, v in enumerate(rewards):
-                    sums[j] += v
-                rounds += 1
-            bet = _argmax_canonical(self.space, queries, sums)
+            sums = yield ExpertAction(bet, queries=queries, rounds=T)
+            rounds += T
+            bet = _argmax_canonical(self.space, queries, sums.tolist())
             phase["best_guess"] = bet
-            i += 1
 
 
 def _argmax_canonical(space, points, sums):
@@ -133,7 +134,7 @@ def naive_experts(space, b, uniform=False):
     return NaiveExperts(space, b, uniform=uniform)
 
 
-class MaxMinLCDExperts(Session):
+class MaxMinLCDExperts(_FullFeedback):
     """Phased full-feedback algorithm for spaces with a finite depth chain.
 
     Each phase selects the finest net of at most 2^sqrt(T) points, reads off
@@ -142,37 +143,26 @@ class MaxMinLCDExperts(Session):
     covering the surviving part of the estimated-depth level.  Bets come from
     the previous phase's best guess over its active set."""
 
-    mode = "full"
-
     def __init__(self, space, b, uniform=False, active_cap=_ACTIVE_SET_CAP):
-        super().__init__()
         if b <= 0:
             raise ValidationError("b must be positive")
-        if uniform and b < 2:
-            raise ValidationError("uniform variant requires b >= 2")
+        super().__init__(space, b, uniform)
         if space.depth_structure is None:
             raise ValidationError("space needs a depth structure")
-        self.space = space
-        self.b = float(b)
-        self.uniform = uniform
         self.active_cap = int(active_cap)
-
-    def _phase_delta(self, T):
-        if self.uniform:
-            return float(T) ** (-1.0 / self.b)
-        return float(T) ** (-1.0 / (self.b + 2.0))
 
     def _select_net(self, T):
         limit = 2.0 ** math.sqrt(T)
         floor = getattr(self.space, "scan_resolution", 0.0)
         chosen = None
-        j = 0
-        while True:
+        budget = 1
+        for j in itertools.count():
             if 0 < 2.0 ** -j < floor:
                 # representation resolution reached before the size limit
                 j, points, achieved, _ = chosen
                 return j, points, achieved, True
-            points, achieved, saturated = _net_for_radius(self.space, 2.0 ** -j)
+            points, achieved, saturated, budget = _net_for_radius(
+                self.space, 2.0 ** -j, budget)
             if len(points) > limit:
                 if chosen is None:
                     return 0, points, achieved, True
@@ -180,7 +170,6 @@ class MaxMinLCDExperts(Session):
             chosen = (j, points, achieved, False)
             if saturated:
                 return j, points, achieved, True
-            j += 1
 
     def _active_set(self, anchor, exclusion, delta, quota):
         active = []
@@ -200,9 +189,8 @@ class MaxMinLCDExperts(Session):
     def _run(self):
         bet = self.space.canonical_least()
         prev_active = ()
-        i = 1
         rounds = 0
-        while True:
+        for i in itertools.count(1):
             T = 2 ** i
             j, net, _achieved, net_flag = self._select_net(T)
             net = tuple(net)
@@ -219,12 +207,10 @@ class MaxMinLCDExperts(Session):
                      "net_size": len(net), "net_flagged": net_flag,
                      "bet": bet, "active_in": list(prev_active)}
             self.info["phases"].append(phase)
-            sums = {x: 0.0 for x in queries}
-            for _ in range(T):
-                rewards = yield ExpertAction(bet, queries=queries)
-                for x, v in zip(queries, rewards):
-                    sums[x] += v
-                rounds += 1
+            # queries are distinct, so every sum belongs to one point
+            feedback = yield ExpertAction(bet, queries=queries, rounds=T)
+            sums = dict(zip(queries, feedback.tolist()))
+            rounds += T
             mu = {x: sums[x] / T for x in queries}
             mu_star = max(mu[x] for x in net)
             gap = {x: mu_star - mu[x] for x in net}
@@ -244,7 +230,6 @@ class MaxMinLCDExperts(Session):
                           "active_truncated": active_flag,
                           "best_guess": bet})
             prev_active = active
-            i += 1
 
 
 def maxminlcd_experts(space, b, uniform=False, active_cap=_ACTIVE_SET_CAP):

@@ -2,7 +2,9 @@
 
 A run is fully determined by (config, seed): instance noise comes from the
 stream [seed, 0] and algorithm randomness from [seed, 1], so the same seed
-exposes identical noise to every algorithm.
+exposes identical noise to every algorithm.  Bandit sessions step round by
+round; an experts action is a block of rounds, sampled in numpy with the
+bits and noise stream of the rounds it stands for.
 """
 
 from __future__ import annotations
@@ -66,10 +68,9 @@ class RegretTrace:
         rewards = np.array([float.fromhex(v) for v in d["rewards"]])
         means = np.array([float.fromhex(v) for v in d["means"]])
         mu_star = float.fromhex(d["mu_star"])
-        t = np.arange(1, d["horizon"] + 1)
         return RegretTrace(
             d["algorithm"], d["instance"], d["seed"], d["horizon"],
-            mu_star, rewards, means, mu_star * t - np.cumsum(rewards))
+            mu_star, rewards, means, _regret_from(mu_star, rewards))
 
 
 def _regret_from(mu_star, rewards):
@@ -81,11 +82,19 @@ def _regret_from(mu_star, rewards):
 # algorithm registry
 
 
+def _field(d, key, where):
+    try:
+        return d[key]
+    except KeyError:
+        raise ValidationError(f"{where} needs the field {key!r}") from None
+
+
 def build_algorithm(descriptor, space, rng):
     name = descriptor.get("name")
     params = {k: v for k, v in descriptor.items() if k != "name"}
+    where = f"algorithm {name!r}"
     if name == "ucb1":
-        return bandits.ucb1(params["arms"])
+        return bandits.ucb1(_field(params, "arms", where))
     if name == "well_ordered_bandit":
         return bandits.well_ordered_bandit(space, params.get("f", "log_power:1"))
     if name == "cb_bandit":
@@ -93,7 +102,7 @@ def build_algorithm(descriptor, space, rng):
     if name == "phased_ucb1":
         return bandits.phased_ucb1(space)
     if name == "completion_adapter":
-        inner = build_algorithm(params["inner"], space, rng)
+        inner = build_algorithm(_field(params, "inner", where), space, rng)
         rule = params.get("rounding", "dyadic:20")
         if rule == "identity":
             rounding = bandits.identity_rounding
@@ -107,72 +116,87 @@ def build_algorithm(descriptor, space, rng):
         return experts.double_feedback_expert(space)
     if name == "naive_experts":
         return experts.naive_experts(
-            space, params["b"], uniform=params.get("uniform", False))
+            space, _field(params, "b", where),
+            uniform=params.get("uniform", False))
     if name == "maxminlcd_experts":
         return experts.maxminlcd_experts(
-            space, params["b"], uniform=params.get("uniform", False),
+            space, _field(params, "b", where),
+            uniform=params.get("uniform", False),
             active_cap=params.get("active_cap", 4096))
     raise ValidationError(f"unknown algorithm {name!r}")
 
 
 # ---------------------------------------------------------------------------
-# coherent per-round sampling for expert feedback
+# coherent block sampling for expert feedback
+
+_CHUNK_CELLS = 2 ** 16  # bounds one draw's memory, whatever the block length
 
 
 class _RoundSampler:
-    """Vectorized feedback for a fixed query tuple plus the current bet.
-    The per-point structure is cached while the session reuses the same
-    query tuple, which phased algorithms do for whole phases."""
+    """Vectorized feedback for a query tuple plus a bet over a block of
+    coherent rounds: every round samples all points from one draw."""
 
     def __init__(self, instance, rng):
         self.instance = instance
         self.rng = rng
-        self._queries = None
-        self._bet = None
-        self._cache = None
 
-    def _prepare(self, queries, bet):
-        points = list(queries) + [bet]
-        if self.instance.uniformly_lipschitz:
-            keys = {}
-            rows = []
-            biases = []
-            for p in points:
-                row = []
-                for key, value, bias in self.instance.active_terms(p):
-                    if key not in keys:
-                        keys[key] = len(keys)
-                        biases.append(bias)
-                    row.append((keys[key], value))
-                rows.append(row)
-            matrix = np.zeros((len(points), len(keys)))
-            for i, row in enumerate(rows):
-                for j, value in row:
-                    matrix[i, j] = value
-            self._cache = ("signs", matrix,
-                           (1.0 + np.array(biases)) / 2.0 if keys else None)
-        else:
-            mu = self.instance.mean_vector(points)
-            self._cache = ("mean", mu, None)
+    def _prepare(self, points):
+        """("signs", term matrix, sign probabilities or None) for sign
+        mixtures, otherwise ("mean", mean vector, None)."""
+        if not self.instance.uniformly_lipschitz:
+            return "mean", self.instance.mean_vector(points), None
+        keys = {}
+        rows = []
+        biases = []
+        for p in points:
+            row = []
+            for key, value, bias in self.instance.active_terms(p):
+                if key not in keys:
+                    keys[key] = len(keys)
+                    biases.append(bias)
+                row.append((keys[key], value))
+            rows.append(row)
+        matrix = np.zeros((len(points), len(keys)))
+        for i, row in enumerate(rows):
+            for j, value in row:
+                matrix[i, j] = value
+        return ("signs", matrix,
+                (1.0 + np.array(biases)) / 2.0 if keys else None)
 
-    def rewards(self, queries, bet):
-        """(query feedback array, bet reward) from one coherent round."""
-        # holding the tuple keeps the identity check free of id reuse
-        if queries is not self._queries or bet != self._bet:
-            self._prepare(queries, bet)
-            self._queries, self._bet = queries, bet
-        tag, a, b = self._cache
+    def _block(self, tag, a, b, c):
+        """Feedback of c rounds, one row per round, in a new array."""
         if tag == "signs":
             if b is None:
-                values = np.full(a.shape[0], 0.5)
-            else:
-                signs = np.where(self.rng.random(len(b)) < b, 1.0, -1.0)
-                values = 0.5 + a @ signs
-        elif self.instance.noise == "none":
-            values = a
-        else:
-            values = (self.rng.random(len(a)) < a).astype(float)
-        return values[:-1], float(values[-1])
+                return np.full((c, a.shape[0]), 0.5)
+            signs = np.where(self.rng.random((c, len(b))) < b, 1.0, -1.0)
+            values = np.empty((c, a.shape[0]))
+            # one matrix-vector product per round keeps its summation order
+            for i, s in enumerate(signs):
+                values[i] = 0.5 + a @ s
+            return values
+        if self.instance.noise == "none":
+            return np.tile(a, (c, 1))
+        # one (c, m) draw is the stream of c draws of m; the 0/1 outcomes
+        # overwrite the draw in place
+        u = self.rng.random((c, len(a)))
+        return np.less(u, a, out=u, casting="unsafe")
+
+    def rewards(self, queries, bet, rounds):
+        """(column sums of the query feedback, bet-reward array) over
+        `rounds` rounds; the sums are added in round order."""
+        tag, a, b = self._prepare(list(queries) + [bet])
+        chunk = max(1, _CHUNK_CELLS // max(a.shape))
+        sums = np.zeros(len(queries))
+        bet_rewards = np.empty(rounds)
+        for start in range(0, rounds, chunk):
+            values = self._block(tag, a, b, min(chunk, rounds - start))
+            bet_rewards[start:start + len(values)] = values[:, -1]
+            block = values[:, :-1]
+            # with the running sums in the first row (x + y == y + x), the
+            # row-by-row accumulate adds each column in round order
+            block[0] += sums
+            sums = np.add.accumulate(block, axis=0, out=block)[-1].copy()
+        return sums, bet_rewards
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +226,8 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(d):
         return ExperimentConfig(
-            d["space"], d["instance"], d["algorithm"], d["horizon"],
+            *(_field(d, key, "config")
+              for key in ("space", "instance", "algorithm", "horizon")),
             seed=d.get("seed", 0), mode=d.get("mode"),
             record_actions=d.get("record_actions", False))
 
@@ -236,33 +261,23 @@ def run_match(config, seed=None):
                 means[t] = instance.mean(x)
                 if actions is not None:
                     actions.append(x)
-        elif session.mode == "double":
-            sampler = _RoundSampler(instance, inst_rng)
-            for t in range(horizon):
-                action = session.choose()
-                peeks, bet_reward = sampler.rewards((action.peek,), action.bet)
-                session.observe((bet_reward, float(peeks[0])))
-                rewards[t] = bet_reward
-                means[t] = instance.mean(action.bet)
-                if actions is not None:
-                    actions.append(action.bet)
-        elif session.mode == "full":
-            sampler = _RoundSampler(instance, inst_rng)
-            mean_cache = {}
-            for t in range(horizon):
-                action = session.choose()
-                feedback, bet_reward = sampler.rewards(action.queries, action.bet)
-                session.observe(feedback)
-                rewards[t] = bet_reward
-                mu = mean_cache.get(action.bet)
-                if mu is None:
-                    mu = instance.mean(action.bet)
-                    mean_cache[action.bet] = mu
-                means[t] = mu
-                if actions is not None:
-                    actions.append(action.bet)
         else:
-            raise ValidationError(f"unknown session mode {session.mode!r}")
+            sampler = _RoundSampler(instance, inst_rng)
+            t = 0
+            while t < horizon:
+                action = session.choose()
+                n = min(action.rounds, horizon - t)
+                sums, bet_rewards = sampler.rewards(
+                    action.queries, action.bet, n)
+                rewards[t:t + n] = bet_rewards
+                means[t:t + n] = instance.mean(action.bet)
+                if actions is not None:
+                    actions.extend([action.bet] * n)
+                t += n
+                # a block cut by the horizon is not observed; one that ends
+                # at it is, which records the session's next phase in info
+                if n == action.rounds:
+                    session.observe(sums)
     finally:
         session.close()
     return RegretTrace(
@@ -299,6 +314,9 @@ class Aggregate:
 def aggregate_traces(traces):
     if not traces:
         raise ValidationError("no traces to aggregate")
+    horizons = sorted({tr.horizon for tr in traces})
+    if len(horizons) > 1:
+        raise ValidationError(f"traces have mixed horizons {horizons}")
     cps = traces[0].checkpoints()
     rows = np.array([[tr.cum_regret[t - 1] for t in cps] for tr in traces])
     return Aggregate(

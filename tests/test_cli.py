@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import banditlab.cli as cli
 import banditlab.spaces as sps
 
@@ -70,3 +72,51 @@ def test_bad_arguments_exit_1(capsys):
     assert cli.main([]) == 1
     assert cli.main(["verify", "nope"]) == 1
     capsys.readouterr()
+
+
+def test_simulate_config_missing_horizon_exits_1(tmp_path, capsys):
+    space = sps.FiniteSpace([0.0, 1.0]).descriptor()
+    config = _write(tmp_path, "cfg.json", {
+        "space": space,
+        "instance": {"kind": "arms", "space": space, "means": [0.3, 0.7]},
+        "algorithm": {"name": "ucb1", "arms": [0.0, 1.0]}, "seed": 0})
+    assert cli.main(["simulate", config]) == 1
+    assert "'horizon'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm, field", [
+    ({"name": "ucb1"}, "arms"),
+    ({"name": "naive_experts"}, "b"),
+    ({"name": "maxminlcd_experts"}, "b"),
+    ({"name": "completion_adapter"}, "inner"),
+])
+def test_simulate_algorithm_missing_field_exits_1(tmp_path, capsys,
+                                                  algorithm, field):
+    space = sps.FiniteSpace([0.0, 1.0], depth_chain=[{"kind": "all"}])
+    space = space.descriptor()
+    config = _write(tmp_path, "cfg.json", {
+        "space": space,
+        "instance": {"kind": "arms", "space": space, "means": [0.3, 0.7]},
+        "algorithm": algorithm, "horizon": 8, "seed": 0})
+    assert cli.main(["simulate", config]) == 1
+    assert f"{field!r}" in capsys.readouterr().err
+
+
+def test_fit_mixed_horizons_exits_1(tmp_path, capsys):
+    space = sps.FiniteSpace([0.0, 1.0]).descriptor()
+    paths = []
+    for horizon in (16, 32):
+        config = _write(tmp_path, f"cfg{horizon}.json", {
+            "space": space,
+            "instance": {"kind": "arms", "space": space, "means": [0.3, 0.7]},
+            "algorithm": {"name": "ucb1", "arms": [0.0, 1.0]},
+            "horizon": horizon, "seed": 0})
+        out = tmp_path / f"traces{horizon}.json"
+        assert cli.main(["simulate", config, "--out", str(out)]) == 0
+        paths.append(out)
+    merged = {"traces": [json.loads(p.read_text())["traces"][0]
+                         for p in paths]}
+    mixed = _write(tmp_path, "mixed.json", merged)
+    capsys.readouterr()
+    assert cli.main(["fit", "--input", mixed, "--window", "2,16"]) == 1
+    assert "mixed horizons" in capsys.readouterr().err

@@ -3,38 +3,32 @@ import math
 import numpy as np
 import pytest
 
+import banditlab.bandits as bd
 import banditlab.experts as ex
 import banditlab.instances as inst
 import banditlab.spaces as sps
 from banditlab.errors import UnsupportedCapabilityError, ValidationError
 
 
-def _drive_double(session, instance, rounds):
-    """Zero-noise stepping: feedback is (mean(bet), mean(peek))."""
-    bets = []
-    for _ in range(rounds):
-        a = session.choose()
-        bets.append(a.bet)
-        session.observe((instance.mean(a.bet), instance.mean(a.peek)))
-    return bets
-
-
-def _drive_full(session, instance, rounds, corrupt=None):
-    """Zero-noise stepping for query-list feedback; corrupt(t, values)
-    may replace the feedback for selected rounds."""
+def _drive(session, instance, rounds, corrupt=None):
+    """Zero-noise stepping of block actions, expanded into per-round bets
+    and query logs.  Each round's feedback is the query means, which
+    corrupt(t, values) may replace; the session observes their round-order
+    sums, and only after a block that ran in full."""
     bets, query_log = [], []
-    cache = {}
-    for t in range(rounds):
+    t = 0
+    while t < rounds:
         a = session.choose()
-        bets.append(a.bet)
-        query_log.append(a.queries)
-        values = cache.get(a.queries)
-        if values is None:
-            values = instance.mean_vector(list(a.queries))
-            cache[a.queries] = values
-        if corrupt is not None:
-            values = corrupt(t, np.array(values))
-        session.observe(values)
+        n = min(a.rounds, rounds - t)
+        values = instance.mean_vector(list(a.queries))
+        sums = np.zeros(len(a.queries))
+        for s in range(t, t + n):
+            sums += values if corrupt is None else corrupt(s, values.copy())
+        bets.extend([a.bet] * n)
+        query_log.extend([a.queries] * n)
+        t += n
+        if n == a.rounds:
+            session.observe(sums)
     return bets, query_log
 
 
@@ -60,7 +54,7 @@ def test_double_feedback_phase_structure():
     space, instance = _convergent_peak()
     session = ex.double_feedback_expert(space)
     rounds = 2 + 4 + 8 + 16 + 32
-    bets = _drive_double(session, instance, rounds)
+    bets, _log = _drive(session, instance, rounds)
     phases = session.info["phases"]
     assert [p["length"] for p in phases][:5] == [2, 4, 8, 16, 32]
     for p, sl in _phase_slices(phases, rounds):
@@ -76,7 +70,7 @@ def test_double_feedback_phase_structure():
 def test_double_feedback_zero_noise_converges():
     space, instance = _convergent_peak()
     session = ex.double_feedback_expert(space)
-    bets = _drive_double(session, instance, 2 ** 7 - 2)
+    bets, _log = _drive(session, instance, 2 ** 7 - 2)
     phases = session.info["phases"]
     completed = [p for p in phases if p["completed"]]
     assert completed
@@ -89,17 +83,10 @@ def test_double_feedback_bets_ignore_current_peeks():
     a = ex.double_feedback_expert(space)
     b = ex.double_feedback_expert(space)
     # phase 4 occupies rounds 14..29; corrupt only B's peeks there
-    bets_a, bets_b = [], []
-    for t in range(30):
-        act_a, act_b = a.choose(), b.choose()
-        bets_a.append(act_a.bet)
-        bets_b.append(act_b.bet)
-        peek_a = instance.mean(act_a.peek)
-        peek_b = instance.mean(act_b.peek)
-        if 14 <= t < 30:
-            peek_b = 1.0 - peek_b
-        a.observe((instance.mean(act_a.bet), peek_a))
-        b.observe((instance.mean(act_b.bet), peek_b))
+    bets_a, _log = _drive(a, instance, 30)
+    bets_b, _log = _drive(
+        b, instance, 30,
+        corrupt=lambda t, peek: 1.0 - peek if 14 <= t < 30 else peek)
     assert bets_a == bets_b
 
 
@@ -109,7 +96,7 @@ def test_double_feedback_needs_well_order():
     instance = inst.ConstantInstance(space, 0.5, noise="none")
     # the ordering oracle is consulted when the first sweep completes
     with pytest.raises(UnsupportedCapabilityError):
-        _drive_double(session, instance, 10)
+        _drive(session, instance, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +108,7 @@ def test_naive_delta_schedule_and_coverage():
     instance = inst.PeakInstance(space, 0.8, 1.0, c=0.9, noise="none")
     session = ex.naive_experts(space, 1.0)
     rounds = 2 + 4 + 8 + 16 + 32 + 64
-    _bets, query_log = _drive_full(session, instance, rounds)
+    _bets, query_log = _drive(session, instance, rounds)
     scan = space.scan_points()
     for p, sl in _phase_slices(session.info["phases"], rounds):
         assert p["delta"] == pytest.approx(p["length"] ** (-1.0 / 3.0))
@@ -154,7 +141,7 @@ def test_naive_bet_is_previous_best_guess():
     instance = inst.PeakInstance(space, 0.8, 1.0, c=0.9, noise="none")
     session = ex.naive_experts(space, 1.0)
     rounds = 2 ** 9 - 2
-    bets, _ = _drive_full(session, instance, rounds)
+    bets, _ = _drive(session, instance, rounds)
     phases = session.info["phases"]
     for prev, cur in zip(phases, phases[1:]):
         assert cur["bet"] == prev["best_guess"]
@@ -167,7 +154,7 @@ def test_naive_constant_instance_never_regrets():
     space = sps.IntervalSpace()
     instance = inst.ConstantInstance(space, 0.5, noise="none")
     session = ex.naive_experts(space, 1.0)
-    bets, _ = _drive_full(session, instance, 100)
+    bets, _ = _drive(session, instance, 100)
     assert all(instance.mean(b) == 0.5 for b in bets)
 
 
@@ -202,12 +189,62 @@ def test_maxminlcd_net_selection():
     assert j_big == 10 and len(net_big) == 512 and flag_big
 
 
+def _select_net_from_scratch(session, T):
+    """_select_net with each scale's budget search restarted at k = 1."""
+    limit = 2.0 ** math.sqrt(T)
+    floor = getattr(session.space, "scan_resolution", 0.0)
+    chosen = None
+    j = 0
+    while True:
+        if 0 < 2.0 ** -j < floor:
+            j, points, achieved, _ = chosen
+            return j, points, achieved, True
+        points, achieved, saturated, _k = bd._net_for_radius(
+            session.space, 2.0 ** -j)
+        if len(points) > limit:
+            if chosen is None:
+                return 0, points, achieved, True
+            return chosen
+        chosen = (j, points, achieved, False)
+        if saturated:
+            return j, points, achieved, True
+        j += 1
+
+
+@pytest.mark.parametrize("space", [
+    _decomposed(),
+    sps.FiniteSpace([i / 300 for i in range(300)],
+                    depth_chain=[{"kind": "all"}]),
+], ids=["interval", "finite"])
+def test_maxminlcd_net_selection_keeps_budget(monkeypatch, space):
+    """Carrying the doubling budget from scale to scale selects the same
+    nets as restarting it, with fewer covering calls."""
+    session = ex.maxminlcd_experts(space, 1.0)
+    calls = []
+    covering = sps.covering_oracle
+
+    def counted(space, k):
+        calls.append(k)
+        return covering(space, k)
+
+    monkeypatch.setattr(sps, "covering_oracle", counted)
+    kept, restarted = 0, 0
+    for i in range(1, 17):
+        del calls[:]
+        got = session._select_net(2 ** i)
+        kept += len(calls)
+        del calls[:]
+        assert got == _select_net_from_scratch(session, 2 ** i)
+        restarted += len(calls)
+    assert kept < restarted
+
+
 def test_maxminlcd_phase_bookkeeping():
     space = _decomposed()
     instance = inst.PeakInstance(space, 0.8, 1.0, c=0.9, noise="none")
     session = ex.maxminlcd_experts(space, 2.0)
     rounds = 2 ** 9 - 2
-    _bets, _log = _drive_full(session, instance, rounds)
+    _bets, _log = _drive(session, instance, rounds)
     for p, _sl in _phase_slices(session.info["phases"], rounds):
         t = p["length"]
         assert p["delta"] == pytest.approx(t ** -0.25)
@@ -229,7 +266,7 @@ def test_maxminlcd_infinite_budget_is_capped():
     instance = inst.ConstantInstance(space, 0.5, noise="none")
     session = ex.maxminlcd_experts(space, 2.0, uniform=True)
     rounds = 2 ** 12 - 2
-    _drive_full(session, instance, rounds)
+    _drive(session, instance, rounds)
     last = session.info["phases"][10]
     assert last["length"] == 2 ** 11
     # delta^-2 = T >= 1023 overflows the float exponent
@@ -243,7 +280,7 @@ def test_maxminlcd_depth_estimate_locks_on():
     instance = inst.PeakInstance(space, 0.8, 1.0, c=0.9, noise="none")
     session = ex.maxminlcd_experts(space, 1.0)
     rounds = 2 ** 9 - 2
-    bets, _log = _drive_full(session, instance, rounds)
+    bets, _log = _drive(session, instance, rounds)
     phases = session.info["phases"]
     # once nets resolve the peak, the depth oracle returns the depth-1 point
     late = [p for p in phases[3:] if "depth_estimate" in p]
@@ -257,7 +294,7 @@ def test_maxminlcd_bets_frozen_within_phase():
     instance = inst.PeakInstance(space, 0.8, 1.0, c=0.9, noise="none")
     session = ex.maxminlcd_experts(space, 1.0)
     rounds = 2 ** 8 - 2
-    bets, _log = _drive_full(session, instance, rounds)
+    bets, _log = _drive(session, instance, rounds)
     for p, sl in _phase_slices(session.info["phases"], rounds):
         assert len(set(bets[sl])) == 1
         assert bets[sl][0] == p["bet"]
@@ -268,7 +305,7 @@ def test_maxminlcd_trivial_decomposition_sublinear():
     instance = inst.PeakInstance(space, 0.8, 1.0, c=0.9, noise="none")
     session = ex.maxminlcd_experts(space, 1.0)
     horizon = 2 ** 12 - 2
-    bets, _log = _drive_full(session, instance, horizon)
+    bets, _log = _drive(session, instance, horizon)
     regret = np.cumsum([0.9 - instance.mean(b) for b in bets])
     ts = [2 ** j for j in range(5, 12)]
     slope = np.polyfit(np.log(ts), np.log([regret[t - 1] for t in ts]), 1)[0]

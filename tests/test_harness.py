@@ -167,6 +167,23 @@ def test_aggregate_envelope():
         hn.aggregate_traces([])
 
 
+def test_aggregate_rejects_mixed_horizons():
+    short = hn.run_match(_arms_config(horizon=16))
+    long = hn.run_match(_arms_config(horizon=32))
+    for traces in ([long, short], [short, long]):
+        with pytest.raises(ValidationError, match="mixed horizons"):
+            hn.aggregate_traces(traces)
+
+
+@pytest.mark.parametrize("field", ["space", "instance", "algorithm",
+                                   "horizon"])
+def test_config_missing_field_names_it(field):
+    d = _arms_config().to_dict()
+    del d[field]
+    with pytest.raises(ValidationError, match=repr(field)):
+        hn.ExperimentConfig.from_dict(d)
+
+
 # ---------------------------------------------------------------------------
 # exponent fitting
 
