@@ -36,30 +36,31 @@ from .spaces import (
 )
 from .instances import (
     instance_from_descriptor,
-    make_lineage_instance,
-    make_logt_ensemble,
-    make_maxminlcd_instance,
-    make_noncompact_instance,
-    make_peak_instance,
-    mean_payoff,
     monte_carlo_mean,
-    sample_round,
+    ArmsInstance,
+    ConstantInstance,
+    FunctionSample,
+    LineageInstance,
+    LogTEnsembleInstance,
+    MaxMinLCDInstance,
+    NoncompactInstance,
+    PeakInstance,
 )
 from .bandits import (
-    cb_bandit,
-    completion_adapter,
     dyadic_rounding,
     expl,
-    expl_prime,
     identity_rounding,
-    phased_ucb1,
-    ucb1,
-    well_ordered_bandit,
+    CompletionAdapterSession,
+    ExplPrimeRun,
+    ExplRun,
+    PhasedExplSession,
+    PhasedUCB1Session,
+    UCB1Session,
 )
 from .experts import (
-    double_feedback_expert,
-    maxminlcd_experts,
-    naive_experts,
+    DoubleFeedbackExpert,
+    MaxMinLCDExperts,
+    NaiveExperts,
 )
 from .verify import (
     claim9_check,

@@ -103,15 +103,6 @@ class ExplRun:
         return sp.ordering_oracle(self.space, balls)
 
 
-def expl(space, k, n, r, pull):
-    """Functional front-end: runs the sweep to completion via the callback."""
-    run = ExplRun(space, k, n, r)
-    while not run.finished:
-        x = run.next_point()
-        run.record(pull(x))
-    return run.result()
-
-
 class ExplPrimeRun(ExplRun):
     """Rank-stratified exploration: covers every Cantor-Bendixson rank class,
     pulls each point n times, and picks the largest-rank undominated point."""
@@ -135,8 +126,9 @@ class ExplPrimeRun(ExplRun):
         return min(winners, key=self.space.canonical_key)
 
 
-def expl_prime(space, k, n, r, pull):
-    run = ExplPrimeRun(space, k, n, r)
+def expl(space, k, n, r, pull, sweep_cls=ExplRun):
+    """Functional front-end: runs the sweep to completion via the callback."""
+    run = sweep_cls(space, k, n, r)
     while not run.finished:
         x = run.next_point()
         run.record(pull(x))
@@ -178,14 +170,14 @@ def _phase_params(T, alpha):
 class PhasedExplSession(Session):
     """Phases of length 2^(2^i); each phase explores with a fresh sweep and
     then plays the sweep's output.  If the phase ends before exploration
-    completes, the previous commit point carries over."""
+    completes, the previous commit point carries over.  The sweep ExplRun
+    gives the well-ordered bandit; ExplPrimeRun gives the CB-rank bandit."""
 
-    sweep_cls = ExplRun
-
-    def __init__(self, space, f_exponent_fn="log_power:1"):
+    def __init__(self, space, f_exponent_fn="log_power:1", sweep_cls=ExplRun):
         super().__init__()
         self.space = space
         self.alpha = _resolve_alpha(f_exponent_fn)
+        self.sweep_cls = sweep_cls
 
     def _run(self):
         commit = self.space.canonical_least()
@@ -214,29 +206,31 @@ class PhasedExplSession(Session):
             i += 1
 
 
-class WellOrderedBandit(PhasedExplSession):
-    sweep_cls = ExplRun
-
-
-class CBBandit(PhasedExplSession):
-    sweep_cls = ExplPrimeRun
-
-
-def well_ordered_bandit(space, f_exponent_fn="log_power:1"):
-    return WellOrderedBandit(space, f_exponent_fn)
-
-
-def cb_bandit(space, f_exponent_fn="log_power:1"):
-    return CBBandit(space, f_exponent_fn)
-
-
 # ---------------------------------------------------------------------------
 # UCB1 and the phased boundary algorithm
 
 
+def _ucb1(arms, rounds):
+    """UCB1 over arms for `rounds` rounds (None: without end).  Index rule:
+    mean + sqrt(2 ln t / n_j); each arm played once first; ties break to the
+    lowest arm id."""
+    counts = np.zeros(len(arms))
+    sums = np.zeros(len(arms))
+    played = 0
+    while rounds is None or played < rounds:
+        if played < len(arms):
+            j = played
+        else:
+            index = sums / counts + np.sqrt(2.0 * math.log(played) / counts)
+            j = int(np.argmax(index))
+        reward = yield arms[j]
+        counts[j] += 1
+        sums[j] += reward
+        played += 1
+
+
 class UCB1Session(Session):
-    """Index rule: mean + sqrt(2 ln t / n_j); each arm played once first;
-    ties break to the lowest arm id."""
+    """UCB1 over a fixed arm list, without end."""
 
     def __init__(self, arms):
         super().__init__()
@@ -245,26 +239,7 @@ class UCB1Session(Session):
         self.arms = list(arms)
 
     def _run(self):
-        m = len(self.arms)
-        counts = np.zeros(m)
-        sums = np.zeros(m)
-        played = 0
-        for j in range(m):
-            reward = yield self.arms[j]
-            counts[j] += 1
-            sums[j] += reward
-            played += 1
-        while True:
-            index = sums / counts + np.sqrt(2.0 * math.log(played) / counts)
-            j = int(np.argmax(index))
-            reward = yield self.arms[j]
-            counts[j] += 1
-            sums[j] += reward
-            played += 1
-
-
-def ucb1(arms):
-    return UCB1Session(arms)
+        yield from _ucb1(self.arms, None)
 
 
 def _net_for_radius(space, radius, k=1, max_budget=2 ** 20):
@@ -317,28 +292,11 @@ class PhasedUCB1Session(Session):
                      "length": t_k, "start": rounds, "tstar": tstar_k,
                      "saturated": saturated}
             self.info["phases"].append(phase)
-            counts = np.zeros(len(net))
-            sums = np.zeros(len(net))
-            played = 0
-            for _ in range(t_k):
-                if played < len(net):
-                    j = played
-                else:
-                    index = sums / counts + np.sqrt(
-                        2.0 * math.log(played) / counts)
-                    j = int(np.argmax(index))
-                reward = yield net[j]
-                counts[j] += 1
-                sums[j] += reward
-                played += 1
-                rounds += 1
+            yield from _ucb1(net, t_k)
+            rounds += t_k
             lengths.append(t_k)
             phase["s_k"] = rounds
             k += 1
-
-
-def phased_ucb1(space):
-    return PhasedUCB1Session(space)
 
 
 # ---------------------------------------------------------------------------
@@ -384,8 +342,3 @@ class CompletionAdapterSession(Session):
 
     def close(self):
         self.inner.close()
-
-
-def completion_adapter(inner, dense_rounding, rng=None):
-    rng = rng if rng is not None else np.random.default_rng(0)
-    return CompletionAdapterSession(inner, dense_rounding, rng)

@@ -63,17 +63,18 @@ def _forge_instance(kind, seed):
     if kind == "lineage":
         space = spaces.IntervalSpace()
         tree = spaces.build_ball_tree(space, 4)
-        return instances.make_lineage_instance(tree, 0.3, 4, seed, space=space)
+        return instances.LineageInstance(space, tree, gamma=0.3, depth_cap=4,
+                                         seed=seed)
     if kind == "noncompact":
-        return instances.make_noncompact_instance(
-            [0.1, 0.3, 0.5, 0.7, 0.9], 0.05, None, seed, sizes=[2, 3])
+        return instances.NoncompactInstance(
+            [0.1, 0.3, 0.5, 0.7, 0.9], 0.05, seed=seed, sizes=[2, 3])
     if kind == "maxminlcd":
-        return instances.make_maxminlcd_instance(
-            spaces.IntervalSpace(), 0.5, 3, seed)
+        return instances.MaxMinLCDInstance(
+            spaces.IntervalSpace(), b=0.5, depth_cap=3, seed=seed)
     if kind == "logt":
-        space = spaces.IntervalSpace()
-        return instances.make_logt_ensemble(
-            space, [0.5 + 3.0 ** -k for k in range(1, 6)], 1, x_star=0.5)
+        return instances.LogTEnsembleInstance(
+            spaces.IntervalSpace(), [0.5 + 3.0 ** -k for k in range(1, 6)], 1,
+            x_star=0.5)
     raise ValidationError(f"unknown instance kind {kind!r}")
 
 

@@ -23,3 +23,11 @@ class InvalidScheduleError(BanditLabError):
 
 class ValidationError(BanditLabError):
     """A configuration or descriptor failed validation."""
+
+
+def required(d, key, where):
+    """d[key]; a missing key is a ValidationError that names it."""
+    try:
+        return d[key]
+    except KeyError:
+        raise ValidationError(f"{where} needs the field {key!r}") from None

@@ -69,10 +69,6 @@ class DoubleFeedbackExpert(Session):
             bet = next_bet
 
 
-def double_feedback_expert(space):
-    return DoubleFeedbackExpert(space)
-
-
 class _FullFeedback(Session):
     """Phases of length T = 2^i, each one action, at the scale
     delta = T^{-1/(b+2)} (uniform variant: T^{-1/b}, needs b >= 2)."""
@@ -130,10 +126,6 @@ def _argmax_canonical(space, points, sums):
     return min(winners, key=space.canonical_key)
 
 
-def naive_experts(space, b, uniform=False):
-    return NaiveExperts(space, b, uniform=uniform)
-
-
 class MaxMinLCDExperts(_FullFeedback):
     """Phased full-feedback algorithm for spaces with a finite depth chain.
 
@@ -150,19 +142,23 @@ class MaxMinLCDExperts(_FullFeedback):
         if space.depth_structure is None:
             raise ValidationError("space needs a depth structure")
         self.active_cap = int(active_cap)
+        # _net_for_radius at radius 2^-j by scale j: the same in every phase
+        self._nets = []
 
     def _select_net(self, T):
         limit = 2.0 ** math.sqrt(T)
         floor = getattr(self.space, "scan_resolution", 0.0)
         chosen = None
-        budget = 1
         for j in itertools.count():
             if 0 < 2.0 ** -j < floor:
                 # representation resolution reached before the size limit
                 j, points, achieved, _ = chosen
                 return j, points, achieved, True
-            points, achieved, saturated, budget = _net_for_radius(
-                self.space, 2.0 ** -j, budget)
+            if j == len(self._nets):
+                budget = self._nets[-1][3] if self._nets else 1
+                self._nets.append(
+                    _net_for_radius(self.space, 2.0 ** -j, budget))
+            points, achieved, saturated, _budget = self._nets[j]
             if len(points) > limit:
                 if chosen is None:
                     return 0, points, achieved, True
@@ -230,7 +226,3 @@ class MaxMinLCDExperts(_FullFeedback):
                           "active_truncated": active_flag,
                           "best_guess": bet})
             prev_active = active
-
-
-def maxminlcd_experts(space, b, uniform=False, active_cap=_ACTIVE_SET_CAP):
-    return MaxMinLCDExperts(space, b, uniform=uniform, active_cap=active_cap)

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bandits, experts, instances, spaces as sp
-from .errors import BanditLabError, ValidationError
+from .errors import BanditLabError, ValidationError, required
 
 
 # ---------------------------------------------------------------------------
@@ -82,27 +82,20 @@ def _regret_from(mu_star, rewards):
 # algorithm registry
 
 
-def _field(d, key, where):
-    try:
-        return d[key]
-    except KeyError:
-        raise ValidationError(f"{where} needs the field {key!r}") from None
-
-
 def build_algorithm(descriptor, space, rng):
     name = descriptor.get("name")
     params = {k: v for k, v in descriptor.items() if k != "name"}
     where = f"algorithm {name!r}"
     if name == "ucb1":
-        return bandits.ucb1(_field(params, "arms", where))
-    if name == "well_ordered_bandit":
-        return bandits.well_ordered_bandit(space, params.get("f", "log_power:1"))
-    if name == "cb_bandit":
-        return bandits.cb_bandit(space, params.get("f", "log_power:1"))
+        return bandits.UCB1Session(required(params, "arms", where))
+    if name in ("well_ordered_bandit", "cb_bandit"):
+        sweep = bandits.ExplPrimeRun if name == "cb_bandit" else bandits.ExplRun
+        return bandits.PhasedExplSession(
+            space, params.get("f", "log_power:1"), sweep_cls=sweep)
     if name == "phased_ucb1":
-        return bandits.phased_ucb1(space)
+        return bandits.PhasedUCB1Session(space)
     if name == "completion_adapter":
-        inner = build_algorithm(_field(params, "inner", where), space, rng)
+        inner = build_algorithm(required(params, "inner", where), space, rng)
         rule = params.get("rounding", "dyadic:20")
         if rule == "identity":
             rounding = bandits.identity_rounding
@@ -111,16 +104,16 @@ def build_algorithm(descriptor, space, rng):
             rounding = bandits.dyadic_rounding(int(arg) if arg else 20)
         else:
             raise ValidationError(f"unknown rounding rule {rule!r}")
-        return bandits.completion_adapter(inner, rounding, rng)
+        return bandits.CompletionAdapterSession(inner, rounding, rng)
     if name == "double_feedback_expert":
-        return experts.double_feedback_expert(space)
+        return experts.DoubleFeedbackExpert(space)
     if name == "naive_experts":
-        return experts.naive_experts(
-            space, _field(params, "b", where),
+        return experts.NaiveExperts(
+            space, required(params, "b", where),
             uniform=params.get("uniform", False))
     if name == "maxminlcd_experts":
-        return experts.maxminlcd_experts(
-            space, _field(params, "b", where),
+        return experts.MaxMinLCDExperts(
+            space, required(params, "b", where),
             uniform=params.get("uniform", False),
             active_cap=params.get("active_cap", 4096))
     raise ValidationError(f"unknown algorithm {name!r}")
@@ -226,7 +219,7 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(d):
         return ExperimentConfig(
-            *(_field(d, key, "config")
+            *(required(d, key, "config")
               for key in ("space", "instance", "algorithm", "horizon")),
             seed=d.get("seed", 0), mode=d.get("mode"),
             record_actions=d.get("record_actions", False))
@@ -235,6 +228,9 @@ class ExperimentConfig:
 def _materialize(config, seed):
     instance = instances.instance_from_descriptor(config.instance)
     space = instance.space
+    if sp.space_from_descriptor(config.space).descriptor() != space.descriptor():
+        raise ValidationError(
+            "config field 'space' differs from the instance's 'space'")
     inst_rng = np.random.default_rng([seed, 0])
     alg_rng = np.random.default_rng([seed, 1])
     session = build_algorithm(config.algorithm, space, alg_rng)

@@ -3,8 +3,9 @@ constructions (needle lineages on a ball tree, the bump-sequence ensemble,
 the disjoint-wedge family, and the recursive bump-ball family).
 
 Every instance exposes an analytic expected payoff `mean(x)`, its supremum
-`mu_star`, and coherent per-round sampling: one `PayoffSample` per round,
-with any random signs drawn lazily and memoized for the rest of the round.
+`mu_star`, and `bandit_reward(x, rng)` for one pull.  A sign mixture is
+sampled one round at a time by a `FunctionSample`, which draws each sign on
+first use and keeps it for the rest of the round.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces as sp
-from .errors import InvalidScheduleError, ValidationError
+from .errors import InvalidScheduleError, ValidationError, required
 
 
 def needle_eval(node, x, space):
@@ -56,31 +57,6 @@ class FunctionSample:
             total += sign * value
         return total
 
-    def evaluate_many(self, points):
-        return np.array([self.evaluate(x) for x in points])
-
-
-class MeanSample:
-    """One round of a mean-plus-noise instance: Bernoulli(mu(x)) per point,
-    memoized within the round (zero-noise mode returns mu itself)."""
-
-    def __init__(self, instance, rng):
-        self._instance = instance
-        self._rng = rng
-        self._draws = {}
-
-    def evaluate(self, x):
-        if self._instance.noise == "none":
-            return self._instance.mean(x)
-        v = self._draws.get(x)
-        if v is None:
-            v = 1.0 if self._rng.random() < self._instance.mean(x) else 0.0
-            self._draws[x] = v
-        return v
-
-    def evaluate_many(self, points):
-        return np.array([self.evaluate(x) for x in points])
-
 
 # ---------------------------------------------------------------------------
 # base class
@@ -105,23 +81,11 @@ class PayoffInstance:
     def mean_vector(self, points):
         return np.array([self.mean(x) for x in points])
 
-    def sample_round(self, rng):
-        if self.uniformly_lipschitz:
-            return FunctionSample(self, rng)
-        return MeanSample(self, rng)
-
     def bandit_reward(self, x, rng):
         """Reward for a single pull: the sampled function value for sign
         mixtures, otherwise a Bernoulli draw of the mean."""
         if self.uniformly_lipschitz:
-            total = 0.5
-            for _key, value, bias in self.active_terms(x):
-                if bias >= 1.0:
-                    total += value
-                else:
-                    sign = 1.0 if rng.random() < (1.0 + bias) / 2.0 else -1.0
-                    total += sign * value
-            return total
+            return FunctionSample(self, rng).evaluate(x)
         if self.noise == "none":
             return self.mean(x)
         return 1.0 if rng.random() < self.mean(x) else 0.0
@@ -221,6 +185,8 @@ class ArmsInstance(PayoffInstance):
 
     def __init__(self, space, means, noise="bernoulli"):
         super().__init__(space)
+        if space.kind != "finite":
+            raise ValidationError("arms need a finite space")
         if len(means) != len(space.coords):
             raise ValidationError("one mean per point required")
         if any(not 0 <= m <= 1 for m in means):
@@ -631,45 +597,6 @@ class MaxMinLCDInstance(PayoffInstance):
 
 
 # ---------------------------------------------------------------------------
-# factories matching the operation names
-
-
-def make_peak_instance(space, peak, slope, c=0.9, noise="bernoulli"):
-    return PeakInstance(space, peak, slope, c=c, noise=noise)
-
-
-def make_lineage_instance(tree, gamma, depth_cap, seed, space=None,
-                          biases=None, lineage="seeded"):
-    if space is None:
-        space = sp.IntervalSpace()
-    return LineageInstance(space, tree, gamma=gamma, depth_cap=depth_cap,
-                           seed=seed, biases=biases, lineage=lineage)
-
-
-def make_logt_ensemble(space, seq, i, x_star=None, noise="bernoulli"):
-    return LogTEnsembleInstance(space, seq, i, x_star=x_star, noise=noise)
-
-
-def make_noncompact_instance(centers, r, t_schedule, seed, space=None,
-                             sizes=None):
-    return NoncompactInstance(centers, r, t_schedule=t_schedule, seed=seed,
-                              space=space, sizes=sizes)
-
-
-def make_maxminlcd_instance(space, b, depth_cap, seed, n_list=None):
-    return MaxMinLCDInstance(space, b=b, depth_cap=depth_cap, seed=seed,
-                             n_list=n_list)
-
-
-def sample_round(instance, rng):
-    return instance.sample_round(rng)
-
-
-def mean_payoff(instance, x):
-    return instance.mean(x)
-
-
-# ---------------------------------------------------------------------------
 # descriptors
 
 
@@ -685,19 +612,34 @@ def _decode_point(space, p):
     return p
 
 
+_KINDS = ("peak", "constant", "arms", "lineage", "logt", "noncompact",
+          "maxminlcd")
+
+
 def instance_from_descriptor(d):
     kind = d.get("kind")
-    space = sp.space_from_descriptor(d["space"]) if "space" in d else None
+    if kind not in _KINDS:
+        raise ValidationError(f"unknown instance kind {kind!r}")
+
+    def need(key):
+        return required(d, key, f"instance {kind!r}")
+
+    # noncompact and maxminlcd instances default to the unit interval
+    space = (sp.space_from_descriptor(need("space"))
+             if "space" in d or kind not in ("noncompact", "maxminlcd")
+             else None)
     if kind == "peak":
-        return PeakInstance(space, _decode_point(space, d["peak"]), d["slope"],
-                            c=d.get("c", 0.9), noise=d.get("noise", "bernoulli"))
+        return PeakInstance(space, _decode_point(space, need("peak")),
+                            need("slope"), c=d.get("c", 0.9),
+                            noise=d.get("noise", "bernoulli"))
     if kind == "constant":
         return ConstantInstance(space, d.get("c", 0.5),
                                 noise=d.get("noise", "bernoulli"))
     if kind == "arms":
-        return ArmsInstance(space, d["means"], noise=d.get("noise", "bernoulli"))
+        return ArmsInstance(space, need("means"),
+                            noise=d.get("noise", "bernoulli"))
     if kind == "lineage":
-        tree = sp.build_ball_tree(space, d["tree_depth"])
+        tree = sp.build_ball_tree(space, need("tree_depth"))
         return LineageInstance(space, tree, gamma=d.get("gamma", 0.3),
                                depth_cap=d.get("depth_cap"),
                                seed=d.get("seed", 0),
@@ -705,18 +647,15 @@ def instance_from_descriptor(d):
                                lineage=d.get("lineage", "seeded"))
     if kind == "logt":
         return LogTEnsembleInstance(
-            space, [_decode_point(space, p) for p in d["seq"]], d["i"],
-            x_star=_decode_point(space, d["x_star"]),
+            space, [_decode_point(space, p) for p in need("seq")], need("i"),
+            x_star=_decode_point(space, d.get("x_star")),
             noise=d.get("noise", "bernoulli"))
     if kind == "noncompact":
         breaking = d.get("guarantee_breaking", True)
         return NoncompactInstance(
-            [_decode_point(space, p) for p in d["centers"]], d["r"],
+            [_decode_point(space, p) for p in need("centers")], need("r"),
             t_schedule=d.get("t_schedule"), seed=d.get("seed", 0), space=space,
             sizes=d.get("sizes") if breaking else None)
-    if kind == "maxminlcd":
-        return MaxMinLCDInstance(space, b=d.get("b", 0.5),
-                                 depth_cap=d.get("depth_cap", 3),
-                                 seed=d.get("seed", 0),
-                                 n_list=d.get("n_list"))
-    raise ValidationError(f"unknown instance kind {kind!r}")
+    return MaxMinLCDInstance(space, b=d.get("b", 0.5),
+                             depth_cap=d.get("depth_cap", 3),
+                             seed=d.get("seed", 0), n_list=d.get("n_list"))

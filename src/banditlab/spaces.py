@@ -20,6 +20,7 @@ from .errors import (
     StructuralError,
     UnsupportedCapabilityError,
     ValidationError,
+    required,
 )
 
 _EPS = 1e-12
@@ -82,6 +83,10 @@ class DepthLevel:
     def __init__(self, kind, points=None, bounds=None):
         if kind not in ("all", "points", "interval"):
             raise ValidationError(f"unknown depth-level kind {kind!r}")
+        if kind == "points" and points is None:
+            raise ValidationError("depth level 'points' needs the field 'points'")
+        if kind == "interval" and bounds is None:
+            raise ValidationError("depth level 'interval' needs the field 'bounds'")
         self.kind = kind
         self.points = list(points) if points is not None else None
         self.bounds = tuple(bounds) if bounds is not None else None
@@ -114,7 +119,7 @@ class DepthLevel:
     @staticmethod
     def from_descriptor(d):
         return DepthLevel(
-            d["kind"],
+            required(d, "kind", "depth level"),
             points=d.get("points"),
             bounds=d.get("bounds"),
         )
@@ -139,19 +144,6 @@ class DepthStructure:
             else:
                 break
         return depth
-
-    def descriptor(self):
-        return {
-            "levels": [lv.descriptor() for lv in self.levels],
-            "dimension": self.dimension,
-        }
-
-    @staticmethod
-    def from_descriptor(d):
-        return DepthStructure(
-            [DepthLevel.from_descriptor(lv) for lv in d["levels"]],
-            dimension=d.get("dimension", 1.0),
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +338,28 @@ def _line_cover_count(values, delta):
     return count
 
 
-class FiniteSpace(MetricSpace):
+class _PointSetSpace(MetricSpace):
+    """A finite set of points on the line, listed in `_points` (which fixes
+    the scan order) and held as the set `_pointset`."""
+
+    def validate_point(self, p):
+        if p not in self._pointset:
+            raise StructuralError(f"{p!r} is not a point of this {self.kind} space")
+
+    def distance(self, p, q):
+        return abs(p - q)
+
+    def scan_points(self):
+        return list(self._points)
+
+    def covering(self, k):
+        return _traversal_cover(self, "covering", self._points, k)
+
+    def covering_number_exact(self, delta):
+        return _line_cover_count(self._points, delta)
+
+
+class FiniteSpace(_PointSetSpace):
     """A finite set of points on the line; listed order is the well-order."""
 
     kind = "finite"
@@ -358,20 +371,11 @@ class FiniteSpace(MetricSpace):
             raise ValidationError("finite space needs at least one point")
         if len(set(coords)) != len(coords):
             raise ValidationError("finite space points must be distinct")
-        self.coords = [float(c) for c in coords]
+        self.coords = self._points = [float(c) for c in coords]
+        self._pointset = set(self._points)
         self.diameter = max(self.coords) - min(self.coords) or 1.0
         self._order = {c: i for i, c in enumerate(self.coords)}
         _attach_depth(self, depth_chain, depth_dimension)
-
-    def validate_point(self, p):
-        if p not in self._order:
-            raise StructuralError(f"{p!r} is not a point of this finite space")
-
-    def distance(self, p, q):
-        return abs(p - q)
-
-    def scan_points(self):
-        return list(self.coords)
 
     def order_key(self, p):
         return self._order[p]
@@ -379,18 +383,12 @@ class FiniteSpace(MetricSpace):
     def rank_classes(self):
         return [list(self.coords)]
 
-    def covering(self, k):
-        return _traversal_cover(self, "covering", self.coords, k)
-
-    def covering_number_exact(self, delta):
-        return _line_cover_count(self.coords, delta)
-
     def descriptor(self):
         return _depth_descriptor(
             self, {"kind": "finite", "coords": list(self.coords)})
 
 
-class ConvergentSpace(MetricSpace):
+class ConvergentSpace(_PointSetSpace):
     """Truncated convergent sequence {0} u {1/n : n <= N}.
 
     Well-order: 1 < 1/2 < ... < 1/N < 0 (isolated points first, limit last).
@@ -407,16 +405,6 @@ class ConvergentSpace(MetricSpace):
         self._points = [1.0 / n for n in range(1, self.n_max + 1)] + [0.0]
         self._pointset = set(self._points)
 
-    def validate_point(self, p):
-        if p not in self._pointset:
-            raise StructuralError(f"{p!r} is not in the truncated sequence")
-
-    def distance(self, p, q):
-        return abs(p - q)
-
-    def scan_points(self):
-        return list(self._points)
-
     def order_key(self, p):
         if p == 0.0:
             return math.inf
@@ -426,6 +414,7 @@ class ConvergentSpace(MetricSpace):
         return [self._points[:-1], [0.0]]
 
     def covering(self, k):
+        # analytic: the limit plus the k - 1 largest points
         if k >= self.n_max + 1:
             return 0.0, list(self._points)
         centers = [0.0] + [1.0 / n for n in range(1, k)]
@@ -434,14 +423,11 @@ class ConvergentSpace(MetricSpace):
         )
         return delta, centers
 
-    def covering_number_exact(self, delta):
-        return _line_cover_count(self._points, delta)
-
     def descriptor(self):
         return {"kind": "convergent", "n_max": self.n_max}
 
 
-class ConvergentUnionSpace(MetricSpace):
+class ConvergentUnionSpace(_PointSetSpace):
     """Finite union of convergent sequences: for each branch (limit, sign, N)
     the points limit + sign/n, n <= N, plus the limit itself."""
 
@@ -463,31 +449,15 @@ class ConvergentUnionSpace(MetricSpace):
         self._iso = sorted(set(iso))
         self.diameter = max(self._points) - min(self._points)
 
-    def validate_point(self, p):
-        if p not in self._pointset:
-            raise StructuralError(f"{p!r} is not in this union space")
-
-    def distance(self, p, q):
-        return abs(p - q)
-
-    def scan_points(self):
-        return list(self._points)
-
     def rank_classes(self):
         return [self._iso, sorted(set(self.limits))]
-
-    def covering(self, k):
-        return _traversal_cover(self, "covering", self._points, k)
-
-    def covering_number_exact(self, delta):
-        return _line_cover_count(self._points, delta)
 
     def descriptor(self):
         return {"kind": "convergent_union",
                 "branches": [list(b) for b in self.branches]}
 
 
-class NestedConvergentSpace(MetricSpace):
+class NestedConvergentSpace(_PointSetSpace):
     """Two-level accumulation: 0, the points 1/m (m <= M), and for each m the
     sequence 1/m + 1/(m(m+1)n), n <= N, converging to 1/m from above."""
 
@@ -505,24 +475,8 @@ class NestedConvergentSpace(MetricSpace):
         self._points = sorted(set(self._iso) | set(self._mid) | {0.0})
         self._pointset = set(self._points)
 
-    def validate_point(self, p):
-        if p not in self._pointset:
-            raise StructuralError(f"{p!r} is not in this space")
-
-    def distance(self, p, q):
-        return abs(p - q)
-
-    def scan_points(self):
-        return list(self._points)
-
     def rank_classes(self):
         return [sorted(self._iso), sorted(self._mid), [0.0]]
-
-    def covering(self, k):
-        return _traversal_cover(self, "covering", self._points, k)
-
-    def covering_number_exact(self, delta):
-        return _line_cover_count(self._points, delta)
 
     def descriptor(self):
         return {"kind": "nested_convergent",
@@ -909,14 +863,15 @@ def space_from_descriptor(d):
         )
     if kind == "finite":
         return FiniteSpace(
-            d["coords"],
+            required(d, "coords", "finite space"),
             depth_chain=d.get("depth_chain"),
             depth_dimension=d.get("depth_dimension", 0.0),
         )
     if kind == "convergent":
         return ConvergentSpace(d.get("n_max", 100))
     if kind == "convergent_union":
-        return ConvergentUnionSpace(d["branches"])
+        return ConvergentUnionSpace(
+            required(d, "branches", "convergent_union space"))
     if kind == "nested_convergent":
         return NestedConvergentSpace(d.get("m_max", 10), d.get("n_max", 10))
     if kind == "tree":

@@ -35,9 +35,6 @@ class FiniteMeasure:
         if abs(self.probs.sum() - 1.0) > _SUM_TOL:
             raise ValidationError("probabilities must sum to 1")
 
-    def prob(self, atom):
-        return float(self.probs[self.atoms.index(atom)])
-
 
 def kl_divergence(p, q):
     """KL(p;q) = sum p(x) ln(p(x)/q(x)); terms with p(x)=0 contribute 0,
@@ -413,7 +410,7 @@ def lipschitz_certify(instance, pairs, rounds, rng):
     sample_viol = 0.0
     if instance.uniformly_lipschitz:
         for _ in range(rounds):
-            sample = instance.sample_round(rng)
+            sample = inst_mod.FunctionSample(instance, rng)
             for x, y in pair_list:
                 v = (abs(sample.evaluate(x) - sample.evaluate(y))
                      - space.distance(x, y))

@@ -56,7 +56,8 @@ def test_expl_no_losers_at_large_radius():
 
 def test_expl_prime_prefers_higher_rank():
     space, instance = _convergent_peak()
-    winner = bd.expl_prime(space, 11, 5, 0.001, instance.mean)
+    winner = bd.expl(space, 11, 5, 0.001, instance.mean,
+                     sweep_cls=bd.ExplPrimeRun)
     assert winner == 0.0
 
 
@@ -81,7 +82,7 @@ def test_expl_parameter_validation():
 
 def test_phase_lengths_doubly_exponential():
     space, instance = _convergent_peak()
-    session = bd.well_ordered_bandit(space)
+    session = bd.PhasedExplSession(space)
     rng = np.random.default_rng(0)
     for _ in range(4 + 16 + 256 + 10):
         x = session.choose()
@@ -92,7 +93,7 @@ def test_phase_lengths_doubly_exponential():
 
 def test_well_ordered_bandit_zero_noise_commits_to_peak():
     space, instance = _convergent_peak()
-    session = bd.well_ordered_bandit(space)
+    session = bd.PhasedExplSession(space)
     for _ in range(2 ** 10):
         x = session.choose()
         session.observe(instance.mean(x))
@@ -102,16 +103,16 @@ def test_well_ordered_bandit_zero_noise_commits_to_peak():
 
 def test_f_preset_registry():
     space, _ = _convergent_peak()
-    bd.well_ordered_bandit(space, "log_power:2")
-    bd.well_ordered_bandit(space, "loglog")
-    bd.well_ordered_bandit(space, lambda t: math.log(t))
+    bd.PhasedExplSession(space, "log_power:2")
+    bd.PhasedExplSession(space, "loglog")
+    bd.PhasedExplSession(space, lambda t: math.log(t))
     with pytest.raises(ValidationError):
-        bd.well_ordered_bandit(space, "nope")
+        bd.PhasedExplSession(space, "nope")
 
 
 def test_cb_bandit_on_convergent():
     space, instance = _convergent_peak()
-    session = bd.cb_bandit(space)
+    session = bd.PhasedExplSession(space, sweep_cls=bd.ExplPrimeRun)
     for _ in range(300):
         x = session.choose()
         session.observe(instance.mean(x))
@@ -124,14 +125,14 @@ def test_cb_bandit_on_convergent():
 
 
 def test_ucb1_single_arm():
-    s = bd.ucb1(["only"])
+    s = bd.UCB1Session(["only"])
     for _ in range(20):
         assert s.choose() == "only"
         s.observe(1.0)
 
 
 def test_ucb1_zero_noise_separation():
-    s = bd.ucb1([0, 1])
+    s = bd.UCB1Session([0, 1])
     means = [0.2, 0.8]
     picks = []
     for _ in range(4096):
@@ -146,7 +147,7 @@ def test_ucb1_zero_noise_separation():
 
 def test_ucb1_replay_deterministic():
     def run():
-        s = bd.ucb1([0, 1])
+        s = bd.UCB1Session([0, 1])
         rng = np.random.default_rng(5)
         out = []
         for _ in range(500):
@@ -159,7 +160,7 @@ def test_ucb1_replay_deterministic():
 
 
 def test_observe_before_choose_rejected():
-    s = bd.ucb1([0])
+    s = bd.UCB1Session([0])
     with pytest.raises(ValidationError):
         s.observe(1.0)
 
@@ -170,7 +171,7 @@ def test_observe_before_choose_rejected():
 
 def test_phased_ucb1_schedule_matches_closed_form():
     space = sps.IntervalSpace()
-    session = bd.phased_ucb1(space)
+    session = bd.PhasedUCB1Session(space)
     instance = inst.PeakInstance(space, 0.8, 1.0, c=0.9, noise="none")
     for _ in range(2 ** 12):
         x = session.choose()
@@ -192,7 +193,7 @@ def test_phased_ucb1_schedule_matches_closed_form():
 
 def test_phased_ucb1_saturates_on_finite_space():
     space = sps.FiniteSpace([0.0, 0.5, 1.0])
-    session = bd.phased_ucb1(space)
+    session = bd.PhasedUCB1Session(space)
     means = {0.0: 0.2, 0.5: 0.9, 1.0: 0.4}
     for _ in range(3000):
         x = session.choose()
@@ -229,9 +230,9 @@ def test_completion_adapter_identity_on_binary_rewards():
             session.observe(means[x])
         return out
 
-    plain = run(bd.ucb1([0.0, 1.0]))
-    adapted = run(bd.completion_adapter(
-        bd.ucb1([0.0, 1.0]), bd.identity_rounding,
+    plain = run(bd.UCB1Session([0.0, 1.0]))
+    adapted = run(bd.CompletionAdapterSession(
+        bd.UCB1Session([0.0, 1.0]), bd.identity_rounding,
         np.random.default_rng(0)))
     assert plain == adapted
 
@@ -248,8 +249,8 @@ def test_completion_adapter_mean_preserving():
                 self.feedback.append(v)
 
     rec = Recorder()
-    adapter = bd.completion_adapter(rec, bd.identity_rounding,
-                                    np.random.default_rng(1))
+    adapter = bd.CompletionAdapterSession(rec, bd.identity_rounding,
+                                          np.random.default_rng(1))
     for _ in range(20000):
         adapter.choose()
         adapter.observe(0.73)
@@ -260,9 +261,9 @@ def test_completion_adapter_mean_preserving():
 
 def test_completion_adapter_rounds_actions():
     space = sps.IntervalSpace(well_order="coordinate")
-    inner = bd.well_ordered_bandit(space)
-    adapter = bd.completion_adapter(inner, bd.dyadic_rounding(20),
-                                    np.random.default_rng(0))
+    inner = bd.PhasedExplSession(space)
+    adapter = bd.CompletionAdapterSession(inner, bd.dyadic_rounding(20),
+                                          np.random.default_rng(0))
     rng = np.random.default_rng(2)
     for t in range(1, 50):
         x = adapter.choose()

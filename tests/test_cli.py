@@ -120,3 +120,37 @@ def test_fit_mixed_horizons_exits_1(tmp_path, capsys):
     capsys.readouterr()
     assert cli.main(["fit", "--input", mixed, "--window", "2,16"]) == 1
     assert "mixed horizons" in capsys.readouterr().err
+
+
+_UCB1 = {"name": "ucb1", "arms": [0.0, 1.0]}
+
+
+@pytest.mark.parametrize("instance, field", [
+    ({"kind": "arms", "space": {"kind": "finite", "coords": [0.0, 1.0]}},
+     "means"),
+    ({"kind": "arms", "space": {"kind": "finite"}, "means": [0.3, 0.7]},
+     "coords"),
+    ({"kind": "peak", "peak": 0.5, "slope": 0.5}, "space"),
+    ({"kind": "peak", "peak": 0.5, "slope": 0.5,
+      "space": {"kind": "interval",
+                "depth_chain": [{"kind": "all"}, {"kind": "points"}]}},
+     "points"),
+], ids=["arms-means", "finite-coords", "peak-space", "depth-points"])
+def test_simulate_instance_missing_field_exits_1(tmp_path, capsys,
+                                                 instance, field):
+    space = instance.get("space", sps.IntervalSpace().descriptor())
+    config = _write(tmp_path, "cfg.json", {
+        "space": space, "instance": instance, "algorithm": _UCB1,
+        "horizon": 8, "seed": 0})
+    assert cli.main(["simulate", config]) == 1
+    assert f"{field!r}" in capsys.readouterr().err
+
+
+def test_simulate_config_space_must_match_instance(tmp_path, capsys):
+    finite = sps.FiniteSpace([0.0, 1.0]).descriptor()
+    config = _write(tmp_path, "cfg.json", {
+        "space": sps.IntervalSpace().descriptor(),
+        "instance": {"kind": "arms", "space": finite, "means": [0.3, 0.7]},
+        "algorithm": _UCB1, "horizon": 8, "seed": 0})
+    assert cli.main(["simulate", config]) == 1
+    assert "'space'" in capsys.readouterr().err

@@ -52,7 +52,7 @@ def _convergent_peak():
 
 def test_double_feedback_phase_structure():
     space, instance = _convergent_peak()
-    session = ex.double_feedback_expert(space)
+    session = ex.DoubleFeedbackExpert(space)
     rounds = 2 + 4 + 8 + 16 + 32
     bets, _log = _drive(session, instance, rounds)
     phases = session.info["phases"]
@@ -69,7 +69,7 @@ def test_double_feedback_phase_structure():
 
 def test_double_feedback_zero_noise_converges():
     space, instance = _convergent_peak()
-    session = ex.double_feedback_expert(space)
+    session = ex.DoubleFeedbackExpert(space)
     bets, _log = _drive(session, instance, 2 ** 7 - 2)
     phases = session.info["phases"]
     completed = [p for p in phases if p["completed"]]
@@ -80,8 +80,8 @@ def test_double_feedback_zero_noise_converges():
 
 def test_double_feedback_bets_ignore_current_peeks():
     space, instance = _convergent_peak()
-    a = ex.double_feedback_expert(space)
-    b = ex.double_feedback_expert(space)
+    a = ex.DoubleFeedbackExpert(space)
+    b = ex.DoubleFeedbackExpert(space)
     # phase 4 occupies rounds 14..29; corrupt only B's peeks there
     bets_a, _log = _drive(a, instance, 30)
     bets_b, _log = _drive(
@@ -92,7 +92,7 @@ def test_double_feedback_bets_ignore_current_peeks():
 
 def test_double_feedback_needs_well_order():
     space = sps.IntervalSpace()
-    session = ex.double_feedback_expert(space)
+    session = ex.DoubleFeedbackExpert(space)
     instance = inst.ConstantInstance(space, 0.5, noise="none")
     # the ordering oracle is consulted when the first sweep completes
     with pytest.raises(UnsupportedCapabilityError):
@@ -106,7 +106,7 @@ def test_double_feedback_needs_well_order():
 def test_naive_delta_schedule_and_coverage():
     space = sps.IntervalSpace()
     instance = inst.PeakInstance(space, 0.8, 1.0, c=0.9, noise="none")
-    session = ex.naive_experts(space, 1.0)
+    session = ex.NaiveExperts(space, 1.0)
     rounds = 2 + 4 + 8 + 16 + 32 + 64
     _bets, query_log = _drive(session, instance, rounds)
     scan = space.scan_points()
@@ -122,24 +122,24 @@ def test_naive_delta_schedule_and_coverage():
 
 def test_naive_uniform_delta():
     space = sps.IntervalSpace()
-    session = ex.naive_experts(space, 2.0, uniform=True)
+    session = ex.NaiveExperts(space, 2.0, uniform=True)
     assert session._phase_delta(64) == pytest.approx(1.0 / 8.0)
-    assert ex.naive_experts(space, 2.0)._phase_delta(64) == pytest.approx(
+    assert ex.NaiveExperts(space, 2.0)._phase_delta(64) == pytest.approx(
         64.0 ** -0.25)
 
 
 def test_naive_parameter_validation():
     space = sps.IntervalSpace()
     with pytest.raises(ValidationError):
-        ex.naive_experts(space, -1.0)
+        ex.NaiveExperts(space, -1.0)
     with pytest.raises(ValidationError):
-        ex.naive_experts(space, 1.0, uniform=True)
+        ex.NaiveExperts(space, 1.0, uniform=True)
 
 
 def test_naive_bet_is_previous_best_guess():
     space = sps.IntervalSpace()
     instance = inst.PeakInstance(space, 0.8, 1.0, c=0.9, noise="none")
-    session = ex.naive_experts(space, 1.0)
+    session = ex.NaiveExperts(space, 1.0)
     rounds = 2 ** 9 - 2
     bets, _ = _drive(session, instance, rounds)
     phases = session.info["phases"]
@@ -153,7 +153,7 @@ def test_naive_bet_is_previous_best_guess():
 def test_naive_constant_instance_never_regrets():
     space = sps.IntervalSpace()
     instance = inst.ConstantInstance(space, 0.5, noise="none")
-    session = ex.naive_experts(space, 1.0)
+    session = ex.NaiveExperts(space, 1.0)
     bets, _ = _drive(session, instance, 100)
     assert all(instance.mean(b) == 0.5 for b in bets)
 
@@ -171,15 +171,15 @@ def _decomposed(points=(0.8,)):
 
 def test_maxminlcd_parameter_validation():
     with pytest.raises(ValidationError):
-        ex.maxminlcd_experts(_decomposed(), 0.0)
+        ex.MaxMinLCDExperts(_decomposed(), 0.0)
     with pytest.raises(ValidationError):
-        ex.maxminlcd_experts(_decomposed(), 1.0, uniform=True)
+        ex.MaxMinLCDExperts(_decomposed(), 1.0, uniform=True)
     with pytest.raises(ValidationError):
-        ex.maxminlcd_experts(sps.IntervalSpace(), 1.0)
+        ex.MaxMinLCDExperts(sps.IntervalSpace(), 1.0)
 
 
 def test_maxminlcd_net_selection():
-    session = ex.maxminlcd_experts(_decomposed(), 1.0)
+    session = ex.MaxMinLCDExperts(_decomposed(), 1.0)
     j, net, achieved, flagged = session._select_net(256)
     # the interval net at radius 2^-j has 2^(j-1) midpoints
     assert achieved <= 2.0 ** -j + 1e-12
@@ -189,8 +189,9 @@ def test_maxminlcd_net_selection():
     assert j_big == 10 and len(net_big) == 512 and flag_big
 
 
-def _select_net_from_scratch(session, T):
-    """_select_net with each scale's budget search restarted at k = 1."""
+def _select_net_per_phase(session, T, budget=1, restart=False):
+    """_select_net searching every scale again in each phase, carrying the
+    doubling budget from scale to scale (or restarting it at k = 1)."""
     limit = 2.0 ** math.sqrt(T)
     floor = getattr(session.space, "scan_resolution", 0.0)
     chosen = None
@@ -199,8 +200,8 @@ def _select_net_from_scratch(session, T):
         if 0 < 2.0 ** -j < floor:
             j, points, achieved, _ = chosen
             return j, points, achieved, True
-        points, achieved, saturated, _k = bd._net_for_radius(
-            session.space, 2.0 ** -j)
+        points, achieved, saturated, budget = bd._net_for_radius(
+            session.space, 2.0 ** -j, 1 if restart else budget)
         if len(points) > limit:
             if chosen is None:
                 return 0, points, achieved, True
@@ -217,9 +218,10 @@ def _select_net_from_scratch(session, T):
                     depth_chain=[{"kind": "all"}]),
 ], ids=["interval", "finite"])
 def test_maxminlcd_net_selection_keeps_budget(monkeypatch, space):
-    """Carrying the doubling budget from scale to scale selects the same
-    nets as restarting it, with fewer covering calls."""
-    session = ex.maxminlcd_experts(space, 1.0)
+    """Over a run of phases, the session's nets kept by scale select the
+    same nets as searching every scale again per phase, with its budget
+    carried or restarted, and with fewer covering calls than either."""
+    session = ex.MaxMinLCDExperts(space, 1.0)
     calls = []
     covering = sps.covering_oracle
 
@@ -228,21 +230,25 @@ def test_maxminlcd_net_selection_keeps_budget(monkeypatch, space):
         return covering(space, k)
 
     monkeypatch.setattr(sps, "covering_oracle", counted)
-    kept, restarted = 0, 0
+    counts = {"kept": 0, "carried": 0, "restarted": 0}
     for i in range(1, 17):
-        del calls[:]
-        got = session._select_net(2 ** i)
-        kept += len(calls)
-        del calls[:]
-        assert got == _select_net_from_scratch(session, 2 ** i)
-        restarted += len(calls)
-    assert kept < restarted
+        got = {}
+        for name, select in (
+                ("kept", session._select_net),
+                ("carried", lambda T: _select_net_per_phase(session, T)),
+                ("restarted", lambda T: _select_net_per_phase(
+                    session, T, restart=True))):
+            del calls[:]
+            got[name] = select(2 ** i)
+            counts[name] += len(calls)
+        assert got["kept"] == got["carried"] == got["restarted"]
+    assert counts["kept"] < counts["carried"] < counts["restarted"]
 
 
 def test_maxminlcd_phase_bookkeeping():
     space = _decomposed()
     instance = inst.PeakInstance(space, 0.8, 1.0, c=0.9, noise="none")
-    session = ex.maxminlcd_experts(space, 2.0)
+    session = ex.MaxMinLCDExperts(space, 2.0)
     rounds = 2 ** 9 - 2
     _bets, _log = _drive(session, instance, rounds)
     for p, _sl in _phase_slices(session.info["phases"], rounds):
@@ -264,7 +270,7 @@ def test_maxminlcd_phase_bookkeeping():
 def test_maxminlcd_infinite_budget_is_capped():
     space = _decomposed()
     instance = inst.ConstantInstance(space, 0.5, noise="none")
-    session = ex.maxminlcd_experts(space, 2.0, uniform=True)
+    session = ex.MaxMinLCDExperts(space, 2.0, uniform=True)
     rounds = 2 ** 12 - 2
     _drive(session, instance, rounds)
     last = session.info["phases"][10]
@@ -278,7 +284,7 @@ def test_maxminlcd_infinite_budget_is_capped():
 def test_maxminlcd_depth_estimate_locks_on():
     space = _decomposed()
     instance = inst.PeakInstance(space, 0.8, 1.0, c=0.9, noise="none")
-    session = ex.maxminlcd_experts(space, 1.0)
+    session = ex.MaxMinLCDExperts(space, 1.0)
     rounds = 2 ** 9 - 2
     bets, _log = _drive(session, instance, rounds)
     phases = session.info["phases"]
@@ -292,7 +298,7 @@ def test_maxminlcd_depth_estimate_locks_on():
 def test_maxminlcd_bets_frozen_within_phase():
     space = _decomposed()
     instance = inst.PeakInstance(space, 0.8, 1.0, c=0.9, noise="none")
-    session = ex.maxminlcd_experts(space, 1.0)
+    session = ex.MaxMinLCDExperts(space, 1.0)
     rounds = 2 ** 8 - 2
     bets, _log = _drive(session, instance, rounds)
     for p, sl in _phase_slices(session.info["phases"], rounds):
@@ -303,7 +309,7 @@ def test_maxminlcd_bets_frozen_within_phase():
 def test_maxminlcd_trivial_decomposition_sublinear():
     space = sps.IntervalSpace(depth_chain=[{"kind": "all"}])
     instance = inst.PeakInstance(space, 0.8, 1.0, c=0.9, noise="none")
-    session = ex.maxminlcd_experts(space, 1.0)
+    session = ex.MaxMinLCDExperts(space, 1.0)
     horizon = 2 ** 12 - 2
     bets, _log = _drive(session, instance, horizon)
     regret = np.cumsum([0.9 - instance.mean(b) for b in bets])

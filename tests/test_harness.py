@@ -74,6 +74,16 @@ def test_mode_mismatch_rejected():
         hn.run_match(config)
 
 
+def test_config_space_must_match_instance_space():
+    config = _arms_config(horizon=8)
+    config.space = sps.FiniteSpace([0.0, 0.5]).descriptor()
+    with pytest.raises(ValidationError, match="'space'"):
+        hn.run_match(config)
+    # the same space written with other number types is the same space
+    config.space = {"kind": "finite", "coords": [0, 1]}
+    assert hn.run_match(config).horizon == 8
+
+
 def test_unknown_algorithm_rejected():
     config = _arms_config(horizon=8)
     config.algorithm = {"name": "nope"}

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import banditlab.instances as inst
 import banditlab.spaces as sps
@@ -34,6 +35,11 @@ def test_constant_and_arms():
     space = sps.FiniteSpace([0.0, 1.0])
     ai = inst.ArmsInstance(space, [0.5, 0.6])
     assert ai.mean(1.0) == 0.6 and ai.mu_star == 0.6
+
+
+def test_arms_need_finite_space():
+    with pytest.raises(ValidationError):
+        inst.ArmsInstance(_interval(), [0.5])
 
 
 # ---------------------------------------------------------------------------
@@ -94,7 +100,7 @@ def test_lineage_mean_is_lipschitz_on_grid():
 def test_lineage_round_sample_coherent():
     li = _lineage(2)
     rng = np.random.default_rng(0)
-    sample = li.sample_round(rng)
+    sample = inst.FunctionSample(li, rng)
     x = li.lineage_path()[0].center
     assert sample.evaluate(x) == sample.evaluate(x)
 
@@ -233,6 +239,61 @@ def test_zero_noise_sampling():
     assert pi.bandit_reward(0.3, rng) == pytest.approx(0.4)
     est, se = inst.monte_carlo_mean(pi, 0.3, 10, rng)
     assert est == pytest.approx(0.4) and se == 0.0
+
+
+def _inline_sign_reward(instance, x, rng):
+    """The sign-mixture branch of bandit_reward before it went through
+    FunctionSample: one draw per term with bias below 1, none otherwise."""
+    total = 0.5
+    for _key, value, bias in instance.active_terms(x):
+        if bias >= 1.0:
+            total += value
+        else:
+            sign = 1.0 if rng.random() < (1.0 + bias) / 2.0 else -1.0
+            total += sign * value
+    return total
+
+
+_SIGN_MIXTURES = {
+    "lineage": lambda: _lineage(4),
+    "noncompact": _wedges,
+    "maxminlcd": lambda: inst.MaxMinLCDInstance(_interval(), b=0.5,
+                                                depth_cap=3, seed=0),
+}
+
+
+def _term_centers(instance):
+    """Points inside many terms: needle, wedge and bump centers."""
+    if instance.kind == "lineage":
+        return [node.center for node, _depth in instance.tree.nodes()]
+    if instance.kind == "noncompact":
+        return list(instance.centers)
+    balls, centers = list(instance.roots), []
+    while balls:
+        ball = balls.pop()
+        centers.append(ball.center)
+        balls.extend(ball.children)
+    return centers
+
+
+@pytest.mark.parametrize("kind", sorted(_SIGN_MIXTURES))
+def test_bandit_reward_matches_inline_sign_loop(kind):
+    instance = _SIGN_MIXTURES[kind]()
+    points = st.one_of(st.floats(0.0, 1.0, allow_nan=False),
+                       st.sampled_from(_term_centers(instance)))
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              database=None)
+    @given(st.lists(points, min_size=1, max_size=20), st.integers(0, 2 ** 32))
+    def check(xs, seed):
+        ref_rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed)
+        for x in xs:
+            expected = _inline_sign_reward(instance, x, ref_rng)
+            assert instance.bandit_reward(x, rng).hex() == expected.hex()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    check()
 
 
 def test_bandit_reward_binary_for_bernoulli():
