@@ -9,8 +9,6 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import spaces as sp
 from .errors import ValidationError
 
@@ -213,16 +211,21 @@ class PhasedExplSession(Session):
 def _ucb1(arms, rounds):
     """UCB1 over arms for `rounds` rounds (None: without end).  Index rule:
     mean + sqrt(2 ln t / n_j); each arm played once first; ties break to the
-    lowest arm id."""
-    counts = np.zeros(len(arms))
-    sums = np.zeros(len(arms))
+    lowest arm id.  Python floats beat numpy on the few arms of a net."""
+    m = len(arms)
+    counts = [0.0] * m
+    sums = [0.0] * m
     played = 0
     while rounds is None or played < rounds:
-        if played < len(arms):
+        if played < m:
             j = played
         else:
-            index = sums / counts + np.sqrt(2.0 * math.log(played) / counts)
-            j = int(np.argmax(index))
+            c = 2.0 * math.log(played)
+            j, best = 0, -math.inf
+            for i in range(m):
+                index = sums[i] / counts[i] + math.sqrt(c / counts[i])
+                if index > best:
+                    j, best = i, index
         reward = yield arms[j]
         counts[j] += 1
         sums[j] += reward

@@ -3,13 +3,15 @@
 A run is fully determined by (config, seed): instance noise comes from the
 stream [seed, 0] and algorithm randomness from [seed, 1], so the same seed
 exposes identical noise to every algorithm.  Bandit sessions step round by
-round; an experts action is a block of rounds, sampled in numpy with the
-bits and noise stream of the rounds it stands for.
+round, Bernoulli pulls drawn in chunks and sign-mixture pulls one by one; an
+experts action is a block of rounds, sampled in numpy with the bits and
+noise stream of the rounds it stands for.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -59,18 +61,35 @@ class RegretTrace:
             "seed": self.seed,
             "horizon": self.horizon,
             "mu_star": float(self.mu_star).hex(),
-            "rewards": [float(v).hex() for v in self.rewards],
-            "means": [float(v).hex() for v in self.means],
+            "rewards": _hex_list(self.rewards),
+            "means": _hex_list(self.means),
         }
 
     @staticmethod
     def from_payload(d):
-        rewards = np.array([float.fromhex(v) for v in d["rewards"]])
-        means = np.array([float.fromhex(v) for v in d["means"]])
-        mu_star = float.fromhex(d["mu_star"])
-        return RegretTrace(
-            d["algorithm"], d["instance"], d["seed"], d["horizon"],
-            mu_star, rewards, means, _regret_from(mu_star, rewards))
+        algorithm, instance, seed, horizon, mu_star, rewards, means = (
+            required(d, key, "trace") for key in (
+                "algorithm", "instance", "seed", "horizon", "mu_star",
+                "rewards", "means"))
+        try:
+            mu_star = float.fromhex(mu_star)
+            rewards, means = (np.fromiter(map(float.fromhex, v), float, len(v))
+                              for v in (rewards, means))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad hex float in trace: {exc}") from None
+        if not len(rewards) == len(means) == horizon:
+            raise ValidationError(
+                "trace 'rewards' and 'means' must hold 'horizon' values")
+        return RegretTrace(algorithm, instance, seed, horizon, mu_star,
+                           rewards, means, _regret_from(mu_star, rewards))
+
+
+def _hex_list(a):
+    """[float(v).hex() for v in a], hexing each distinct bit pattern once."""
+    bits, inverse = np.unique(np.asarray(a, dtype=float).view(np.int64),
+                              return_inverse=True)
+    hexes = np.array([float(v).hex() for v in bits.view(float)], dtype=object)
+    return hexes[inverse].tolist()
 
 
 def _regret_from(mu_star, rewards):
@@ -192,6 +211,19 @@ class _RoundSampler:
         return sums, bet_rewards
 
 
+def _pull_sampler(instance, rng, horizon):
+    """pull(x, mu) for `horizon` pulls: Bernoulli uniforms in chunks, as
+    rng.random(c) is the stream of c single draws; sign mixtures per pull."""
+    if instance.uniformly_lipschitz:
+        return lambda x, mu: instance.bandit_reward(x, rng)
+    if instance.noise == "none":
+        return lambda x, mu: mu
+    uniforms = itertools.chain.from_iterable(
+        rng.random(min(_CHUNK_CELLS, horizon - start)).tolist()
+        for start in range(0, horizon, _CHUNK_CELLS))
+    return lambda x, mu: 1.0 if next(uniforms) < mu else 0.0
+
+
 # ---------------------------------------------------------------------------
 # match running
 
@@ -249,12 +281,14 @@ def run_match(config, seed=None):
     actions = [] if config.record_actions else None
     try:
         if session.mode == "bandit":
+            pull = _pull_sampler(instance, inst_rng, horizon)
             for t in range(horizon):
                 x = session.choose()
-                reward = instance.bandit_reward(x, inst_rng)
+                mu = instance.mean(x)
+                reward = pull(x, mu)
                 session.observe(reward)
                 rewards[t] = reward
-                means[t] = instance.mean(x)
+                means[t] = mu
                 if actions is not None:
                     actions.append(x)
         else:
@@ -402,10 +436,12 @@ def export_json(traces, path, extra=None):
     if extra:
         payload.update(extra)
     with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+        # dumps without indent runs the C encoder; dump and indent do not
+        fh.write(json.dumps(payload))
 
 
 def import_json(path):
     with open(path) as fh:
         payload = json.load(fh)
-    return [RegretTrace.from_payload(d) for d in payload["traces"]]
+    return [RegretTrace.from_payload(d)
+            for d in required(payload, "traces", "trace file")]

@@ -224,9 +224,12 @@ def _lineage_deltas(tree, gamma, depth_cap):
         r_i = min(radii)
         r_star.append(r_i)
         bound = 8.0 * i / r_i
+        if math.log(bound) / (0.5 - gamma) > 700.0:  # 10 n_i overflows
+            raise InvalidScheduleError(f"depth-{i} threshold past float range")
         n_i = max(1, math.ceil(bound ** (1.0 / (0.5 - gamma))))
         for n in (n_i, n_i + 1, 2 * n_i, 10 * n_i):
-            if not n ** gamma < (r_i / (8.0 * i)) * math.sqrt(n) + 1e-9:
+            # at n_i the sides agree up to rounding, which scales with them
+            if not n ** gamma < (r_i / (8.0 * i)) * math.sqrt(n) * (1 + 1e-9):
                 raise InvalidScheduleError("bias threshold scan failed")
         deltas.append(n_i ** -0.5)
     return deltas, r_star

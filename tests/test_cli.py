@@ -154,3 +154,39 @@ def test_simulate_config_space_must_match_instance(tmp_path, capsys):
         "algorithm": _UCB1, "horizon": 8, "seed": 0})
     assert cli.main(["simulate", config]) == 1
     assert "'space'" in capsys.readouterr().err
+
+
+_TRACE_FIELDS = ("algorithm", "instance", "seed", "horizon", "mu_star",
+                 "rewards", "means")
+
+
+@pytest.mark.parametrize("field", _TRACE_FIELDS)
+def test_fit_trace_missing_field_exits_1(tmp_path, capsys, field):
+    trace = {"algorithm": "ucb1", "instance": "arms", "seed": 0,
+             "horizon": 4, "mu_star": (0.7).hex(),
+             "rewards": [(1.0).hex()] * 4, "means": [(0.7).hex()] * 4}
+    del trace[field]
+    path = _write(tmp_path, "traces.json", {"traces": [trace]})
+    assert cli.main(["fit", "--input", path, "--window", "1,4"]) == 1
+    assert f"{field!r}" in capsys.readouterr().err
+
+
+def test_fit_trace_with_only_algorithm_exits_1(tmp_path, capsys):
+    path = _write(tmp_path, "traces.json", {"traces": [{"algorithm": "ucb1"}]})
+    assert cli.main(["fit", "--input", path]) == 1
+    assert "trace needs the field" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({}, "'traces'"),
+    ({"traces": [{"algorithm": "ucb1", "instance": "arms", "seed": 0,
+                  "horizon": 1, "mu_star": "0x1p-1", "rewards": ["one"],
+                  "means": ["0x1p-1"]}]}, "bad hex float"),
+    ({"traces": [{"algorithm": "ucb1", "instance": "arms", "seed": 0,
+                  "horizon": 16, "mu_star": "0x1p-1", "rewards": ["0x1p-1"],
+                  "means": ["0x1p-1"]}]}, "'horizon' values"),
+], ids=["no-traces", "bad-hex", "short-trace"])
+def test_fit_malformed_trace_file_exits_1(tmp_path, capsys, payload, message):
+    path = _write(tmp_path, "traces.json", payload)
+    assert cli.main(["fit", "--input", path]) == 1
+    assert message in capsys.readouterr().err

@@ -162,7 +162,8 @@ def _lineage(draw):
     space = _INTERVAL
     return inst.LineageInstance(
         space, sps.build_ball_tree(space, tree_depth),
-        gamma=draw(st.sampled_from([0.1, 0.2, 0.3])), depth_cap=depth_cap,
+        gamma=draw(st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.45])),
+        depth_cap=depth_cap,
         seed=draw(st.integers(0, 2 ** 31)), biases=biases,
         lineage=draw(st.sampled_from(["seeded", "leftmost", "rightmost"])))
 

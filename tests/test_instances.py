@@ -82,6 +82,37 @@ def test_lineage_gamma_validation():
         inst.LineageInstance(space, tree, gamma=0.5, depth_cap=2)
 
 
+@pytest.mark.parametrize("gamma", [0.4, 0.45])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+def test_lineage_high_gamma_builds(gamma, depth):
+    # at n_i the two sides of the threshold scan are large (about 3e8 at
+    # gamma 0.4, depth 1) and agree up to rounding
+    li = _lineage(depth, gamma=gamma)
+    assert all(0 < d < 1 for d in li.deltas)
+
+
+def test_lineage_threshold_past_float_range_rejected():
+    with pytest.raises(InvalidScheduleError, match="float range"):
+        _lineage(2, gamma=0.49)
+
+
+# n_i ** -0.5 at depth cap 4 on the default interval, as first recorded
+_PINNED_BIASES = {
+    0.1: ["0x1.28d8418166c15p-9", "0x1.e6c8601fca074p-16",
+          "0x1.1ded0f4c7eef3p-21", "0x1.852c51d9c8831p-27"],
+    0.2: ["0x1.37dc3bee53edep-12", "0x1.dea7f2766d43dp-21",
+          "0x1.28a8d40f06d14p-28", "0x1.bf7bcdd038cb3p-36"],
+    0.3: ["0x1.5835158b774c8p-18", "0x1.ceceb4e8dc505p-31",
+          "0x1.3f59af95a7649p-42", "0x1.27cfdc360c336p-53"],
+}
+
+
+@pytest.mark.parametrize("gamma", sorted(_PINNED_BIASES))
+def test_lineage_biases_pinned(gamma):
+    li = _lineage(4, gamma=gamma)
+    assert [d.hex() for d in li.deltas] == _PINNED_BIASES[gamma]
+
+
 def test_lineage_explicit_biases():
     li = _lineage(1, biases=[0.2], lineage="rightmost")
     node = li.lineage_path()[0]
