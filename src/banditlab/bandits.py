@@ -1,13 +1,17 @@
 """Bandit-feedback algorithms.
 
 All algorithms are exposed as sessions with a uniform step API:
-choose() returns the next action, observe(feedback) consumes the result.
-Sessions are deterministic given their RNG and replayable.
+choose() returns the next Action, observe(feedback) consumes the result.
+An action may stand for a block of rounds in which the algorithm does not
+adapt: a sweep point pulled n times, or a commit tail.  Sessions are
+deterministic given their RNG and replayable.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from dataclasses import dataclass
 
 from . import spaces as sp
 from .errors import ValidationError
@@ -15,11 +19,23 @@ from .errors import ValidationError
 _POINT_BALL_RADIUS = 1e-15  # stands in for a closed ball of radius zero
 
 
+@dataclass(frozen=True, slots=True)
+class Action:
+    """Bet `bet` and query every point of `queries` for `rounds` rounds in a
+    row.  The session is then sent the feedback of those rounds, added in
+    round order from 0.0: in bandit mode the sum of the bet's rewards, in
+    experts mode the column sums of the query feedback as a float64 array."""
+
+    bet: object
+    queries: tuple = ()
+    rounds: int = 1
+
+
 class Session:
-    """Generator-backed stepping state.  Subclasses implement _run() as an
-    infinite generator that yields actions and receives feedback.  An
-    experts action may stand for a block of rounds, so `t` counts observe()
-    calls, not rounds."""
+    """Generator-backed stepping state.  Subclasses implement _run() to
+    return an infinite generator that yields Actions and receives feedback.
+    An action may stand for a block of rounds, so `t` counts observed
+    actions, not rounds."""
 
     mode = "bandit"
 
@@ -68,25 +84,19 @@ class ExplRun:
         self.r = r
         self.points = self._cover(k)
         self.sums = {x: 0.0 for x in self.points}
-        self.queue = [x for x in self.points for _ in range(n)]
-        self.pos = 0
 
     def _cover(self, k):
         self.delta, points = sp.covering_oracle(self.space, k)
         return points
 
-    @property
-    def finished(self):
-        return self.pos >= len(self.queue)
-
-    def next_point(self):
-        return self.queue[self.pos]
-
-    def record(self, reward, count=1):
-        """Add the summed reward of the next `count` pulls, all of the
-        current point; the sums start at 0.0, so a block sum is exact."""
-        self.sums[self.queue[self.pos]] += reward
-        self.pos += count
+    def run(self, act, value=float):
+        """The sweep as a generator: for every covering point x in order it
+        yields act(x), an action of n rounds, and sets sums[x] to
+        value(feedback), the round-order sum of x's n rewards; it returns
+        result()."""
+        for x in self.points:
+            self.sums[x] = value((yield act(x)))
+        return self.result()
 
     def averages(self):
         return {x: self.sums[x] / self.n for x in self.points}
@@ -114,7 +124,7 @@ class ExplPrimeRun(ExplRun):
         return sorted(self.rank_of, key=self.space.canonical_key)
 
     def result(self):
-        avg = {x: self.sums[x] / self.n for x in self.points}
+        avg = self.averages()
         best = max(avg.values())
         undominated = [x for x in self.points if best - avg[x] <= 2.0 * self.r]
         if not undominated:
@@ -125,12 +135,18 @@ class ExplPrimeRun(ExplRun):
 
 
 def expl(space, k, n, r, pull, sweep_cls=ExplRun):
-    """Functional front-end: runs the sweep to completion via the callback."""
-    run = sweep_cls(space, k, n, r)
-    while not run.finished:
-        x = run.next_point()
-        run.record(pull(x))
-    return run.result()
+    """Functional front-end: runs the sweep to completion, one pull(x) per
+    round."""
+    sweep = sweep_cls(space, k, n, r).run(lambda x: x)
+    x = next(sweep)
+    try:
+        while True:
+            total = 0.0
+            for _ in range(n):
+                total += pull(x)
+            x = sweep.send(total)
+    except StopIteration as done:
+        return done.value
 
 
 # ---------------------------------------------------------------------------
@@ -169,7 +185,8 @@ class PhasedExplSession(Session):
     """Phases of length 2^(2^i); each phase explores with a fresh sweep and
     then plays the sweep's output.  If the phase ends before exploration
     completes, the previous commit point carries over.  The sweep ExplRun
-    gives the well-ordered bandit; ExplPrimeRun gives the CB-rank bandit."""
+    gives the well-ordered bandit; ExplPrimeRun gives the CB-rank bandit.
+    Each sweep point is one action; so is the commit tail."""
 
     def __init__(self, space, f_exponent_fn="log_power:1", sweep_cls=ExplRun):
         super().__init__()
@@ -179,29 +196,28 @@ class PhasedExplSession(Session):
 
     def _run(self):
         commit = self.space.canonical_least()
-        i = 1
         rounds = 0
-        while True:
+        for i in itertools.count(1):
             T = 2 ** (2 ** i)
             k, n, r = _phase_params(T, self.alpha)
             sweep = self.sweep_cls(self.space, k, n, r)
+            cost = len(sweep.points) * n
             phase = {"phase": i, "length": T, "start": rounds,
-                     "k": k, "n": n, "r": r,
-                     "explore_cost": len(sweep.queue),
+                     "k": k, "n": n, "r": r, "explore_cost": cost,
                      "commit": commit, "completed": False}
             self.info["phases"].append(phase)
-            for _ in range(T):
-                if not sweep.finished:
-                    reward = yield sweep.next_point()
-                    sweep.record(reward)
-                    if sweep.finished:
-                        commit = sweep.result()
-                        phase["commit"] = commit
-                        phase["completed"] = True
-                else:
-                    yield commit
-                rounds += 1
-            i += 1
+            if cost <= T:
+                commit = yield from sweep.run(lambda x: Action(x, rounds=n))
+                phase["commit"] = commit
+                phase["completed"] = True
+                if cost < T:
+                    yield Action(commit, rounds=T - cost)
+            else:
+                # the phase ends mid-sweep: the last point it reaches gets
+                # the rounds that are left, and no result is taken
+                for x, start in zip(sweep.points, range(0, T, n)):
+                    yield Action(x, rounds=min(n, T - start))
+            rounds += T
 
 
 # ---------------------------------------------------------------------------
@@ -211,24 +227,29 @@ class PhasedExplSession(Session):
 def _ucb1(arms, rounds):
     """UCB1 over arms for `rounds` rounds (None: without end).  Index rule:
     mean + sqrt(2 ln t / n_j); each arm played once first; ties break to the
-    lowest arm id.  Python floats beat numpy on the few arms of a net."""
+    lowest arm id.  Python floats beat numpy on the few arms of a net.  Each
+    arm's one-round Action is built once, so a round allocates nothing."""
     m = len(arms)
+    acts = [Action(x) for x in arms]
     counts = [0.0] * m
     sums = [0.0] * m
+    averages = [0.0] * m  # sums[i] / counts[i], kept up to date
+    log, sqrt = math.log, math.sqrt
     played = 0
     while rounds is None or played < rounds:
         if played < m:
             j = played
         else:
-            c = 2.0 * math.log(played)
+            c = 2.0 * log(played)
             j, best = 0, -math.inf
             for i in range(m):
-                index = sums[i] / counts[i] + math.sqrt(c / counts[i])
+                index = averages[i] + sqrt(c / counts[i])
                 if index > best:
                     j, best = i, index
-        reward = yield arms[j]
+        reward = yield acts[j]
         counts[j] += 1
         sums[j] += reward
+        averages[j] = sums[j] / counts[j]
         played += 1
 
 
@@ -242,7 +263,7 @@ class UCB1Session(Session):
         self.arms = list(arms)
 
     def _run(self):
-        yield from _ucb1(self.arms, None)
+        return _ucb1(self.arms, None)
 
 
 def _net_for_radius(space, radius, k=1, max_budget=2 ** 20):
@@ -325,7 +346,9 @@ def identity_rounding(x, t):
 class CompletionAdapterSession(Session):
     """Plays a nearby representable point in place of the inner session's
     choice and feeds the inner session a 0/1 re-randomization of the
-    observed reward, preserving its expectation."""
+    observed reward, preserving its expectation.  The rounding depends on
+    the round, so an inner block is played one round at a time; the inner
+    session is sent the round-order sum of the block's bits."""
 
     def __init__(self, inner, dense_rounding, rng):
         super().__init__()
@@ -334,14 +357,17 @@ class CompletionAdapterSession(Session):
         self.rng = rng
         self.info = inner.info
 
-    def choose(self):
-        y = self.inner.choose()
-        return self.rounding(y, self.t + 1)
-
-    def observe(self, reward):
-        bit = 1.0 if self.rng.random() < reward else 0.0
-        self.inner.observe(bit)
-        self.t += 1
+    def _run(self):
+        rounds = 0
+        while True:
+            action = self.inner.choose()
+            bits = 0.0
+            for _ in range(action.rounds):
+                rounds += 1
+                reward = yield Action(self.rounding(action.bet, rounds))
+                bits += 1.0 if self.rng.random() < reward else 0.0
+            self.inner.observe(bits)
 
     def close(self):
+        super().close()
         self.inner.close()

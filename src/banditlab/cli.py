@@ -18,18 +18,8 @@ from . import harness, instances, spaces, verify
 from .errors import BanditLabError, ValidationError
 
 
-def _load_json(path):
-    try:
-        with open(path) as fh:
-            return json.load(fh)
-    except OSError as exc:
-        raise ValidationError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
-
-
 def _cmd_simulate(args):
-    config = harness.ExperimentConfig.from_dict(_load_json(args.config))
+    config = harness.ExperimentConfig.from_dict(harness.load_json(args.config))
     seeds = [config.seed + i for i in range(args.replicates)]
     traces, agg = harness.run_replicates(config, seeds, args.parallelism)
     if args.out:
@@ -43,7 +33,7 @@ def _cmd_simulate(args):
 
 
 def _cmd_dimension(args):
-    space = spaces.space_from_descriptor(_load_json(args.space))
+    space = spaces.space_from_descriptor(harness.load_json(args.space))
     if args.grid:
         grid = [float(x) for x in args.grid.split(",")]
     else:

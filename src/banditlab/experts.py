@@ -1,34 +1,22 @@
 """Full-feedback and double-feedback algorithms.
 
-Sessions follow the same choose()/observe() step API as the bandit sessions,
-but an action is a block of rounds with one bet and a finite query list:
-one peek in double feedback, a whole net in full feedback.  The algorithms
-are non-adaptive within a phase or sweep point, so one action covers it.
-Collected reward always comes from the bet alone.
+Sessions follow the same choose()/observe() step API as the bandit sessions
+and yield the same `bandits.Action`: a block of rounds with one bet and a
+finite query list, one peek in double feedback, a whole net in full
+feedback.  The algorithms are non-adaptive within a phase or sweep point,
+so one action covers it.  Collected reward always comes from the bet alone.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 from . import spaces as sp
-from .bandits import ExplRun, Session, _net_for_radius
+from .bandits import Action, ExplRun, Session, _net_for_radius
 from .errors import ValidationError
 
 _ACTIVE_SET_CAP = 4096
-
-
-@dataclass(frozen=True)
-class ExpertAction:
-    """Bet `bet` and query every point of `queries` for `rounds` rounds in a
-    row.  The session is then sent the column sums of the query feedback
-    over those rounds, added in round order, as a float64 array."""
-
-    bet: object
-    queries: tuple = ()
-    rounds: int = 1
 
 
 class DoubleFeedbackExpert(Session):
@@ -52,19 +40,17 @@ class DoubleFeedbackExpert(Session):
             n = k
             r = 4.0 * math.sqrt(T ** 0.25 / n)
             sweep = ExplRun(self.space, k, n, r)
+            cost = len(sweep.points) * n
             phase = {"phase": i, "length": T, "start": rounds,
                      "k": k, "n": n, "r": r, "bet": bet,
-                     "explore_cost": len(sweep.queue), "completed": False}
+                     "explore_cost": cost, "completed": False}
             self.info["phases"].append(phase)
-            # the queue holds every point n times in a row
-            for x in sweep.points:
-                sums = yield ExpertAction(bet, queries=(x,), rounds=n)
-                sweep.record(float(sums[0]), count=n)
-            next_bet = sweep.result()
+            next_bet = yield from sweep.run(
+                lambda x: Action(bet, queries=(x,), rounds=n),
+                lambda sums: float(sums[0]))
             phase["completed"] = True
-            tail = T - len(sweep.queue)
-            if tail:
-                yield ExpertAction(bet, queries=(next_bet,), rounds=tail)
+            if cost < T:
+                yield Action(bet, queries=(next_bet,), rounds=T - cost)
             rounds += T
             bet = next_bet
 
@@ -114,7 +100,7 @@ class NaiveExperts(_FullFeedback):
                      "coarsened": coarsened, "net_size": len(queries),
                      "bet": bet}
             self.info["phases"].append(phase)
-            sums = yield ExpertAction(bet, queries=queries, rounds=T)
+            sums = yield Action(bet, queries=queries, rounds=T)
             rounds += T
             bet = _argmax_canonical(self.space, queries, sums.tolist())
             phase["best_guess"] = bet
@@ -204,7 +190,7 @@ class MaxMinLCDExperts(_FullFeedback):
                      "bet": bet, "active_in": list(prev_active)}
             self.info["phases"].append(phase)
             # queries are distinct, so every sum belongs to one point
-            feedback = yield ExpertAction(bet, queries=queries, rounds=T)
+            feedback = yield Action(bet, queries=queries, rounds=T)
             sums = dict(zip(queries, feedback.tolist()))
             rounds += T
             mu = {x: sums[x] / T for x in queries}

@@ -2,10 +2,12 @@
 
 A run is fully determined by (config, seed): instance noise comes from the
 stream [seed, 0] and algorithm randomness from [seed, 1], so the same seed
-exposes identical noise to every algorithm.  Bandit sessions step round by
-round, Bernoulli pulls drawn in chunks and sign-mixture pulls one by one; an
-experts action is a block of rounds, sampled in numpy with the bits and
-noise stream of the rounds it stands for.
+exposes identical noise to every algorithm.  Every session yields Actions,
+blocks of rounds, and one loop plays them with the feedback sampler of the
+session's mode.  In bandit mode `_pull_sampler` draws each pull, Bernoulli
+pulls from chunked uniforms and sign-mixture pulls one by one; in experts
+mode `_RoundSampler` samples a block in numpy with the bits and noise
+stream of the rounds it stands for.
 """
 
 from __future__ import annotations
@@ -14,13 +16,14 @@ import csv
 import itertools
 import json
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bandits, experts, instances, spaces as sp
-from .errors import BanditLabError, ValidationError, required
+from .errors import BanditLabError, StructuralError, ValidationError, required
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +80,9 @@ class RegretTrace:
                               for v in (rewards, means))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad hex float in trace: {exc}") from None
+        if not _is_int(horizon) or horizon < 1:
+            raise ValidationError(
+                f"trace field 'horizon' must be an int >= 1, not {horizon!r}")
         if not len(rewards) == len(means) == horizon:
             raise ValidationError(
                 "trace 'rewards' and 'means' must hold 'horizon' values")
@@ -97,6 +103,10 @@ def _regret_from(mu_star, rewards):
     return mu_star * t - np.cumsum(rewards)
 
 
+def _is_int(value):
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 # ---------------------------------------------------------------------------
 # algorithm registry
 
@@ -106,7 +116,13 @@ def build_algorithm(descriptor, space, rng):
     params = {k: v for k, v in descriptor.items() if k != "name"}
     where = f"algorithm {name!r}"
     if name == "ucb1":
-        return bandits.UCB1Session(required(params, "arms", where))
+        arms = required(params, "arms", where)
+        try:
+            for x in arms:
+                space.validate_point(x)
+        except (StructuralError, TypeError) as exc:
+            raise ValidationError(f"{where} field 'arms': {exc}") from None
+        return bandits.UCB1Session(arms)
     if name in ("well_ordered_bandit", "cb_bandit"):
         sweep = bandits.ExplPrimeRun if name == "cb_bandit" else bandits.ExplRun
         return bandits.PhasedExplSession(
@@ -239,8 +255,15 @@ class ExperimentConfig:
     record_actions: bool = False
 
     def __post_init__(self):
+        for name in ("horizon", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValidationError(
+                    f"config field {name!r} must be an int, not {value!r}")
         if self.horizon < 1:
             raise ValidationError("horizon must be >= 1")
+        if self.seed < 0:
+            raise ValidationError("config field 'seed' must be >= 0")
 
     def to_dict(self):
         return {"space": self.space, "instance": self.instance,
@@ -279,35 +302,52 @@ def run_match(config, seed=None):
     rewards = np.empty(horizon)
     means = np.empty(horizon)
     actions = [] if config.record_actions else None
+    if session.mode == "bandit":
+        pull = _pull_sampler(instance, inst_rng, horizon)
+        # UCB1 stores one round at a time; a memoryview store skips numpy's
+        # scalar indexing
+        reward_at, mean_at = memoryview(rewards), memoryview(means)
+
+        def draw(action, mu, t, n):
+            x = action.bet
+            if n == 1:  # UCB1's actions; the sum of one pull is the pull
+                reward_at[t] = reward = pull(x, mu)
+                mean_at[t] = mu
+                return reward
+            total = 0.0
+            for s in range(t, t + n):
+                reward_at[s] = reward = pull(x, mu)
+                mean_at[s] = mu
+                total += reward
+            return total
+    else:
+        sampler = _RoundSampler(instance, inst_rng)
+
+        def draw(action, mu, t, n):
+            sums, rewards[t:t + n] = sampler.rewards(
+                action.queries, action.bet, n)
+            means[t:t + n] = mu
+            return sums
+    choose, observe, mean = session.choose, session.observe, instance.mean
     try:
-        if session.mode == "bandit":
-            pull = _pull_sampler(instance, inst_rng, horizon)
-            for t in range(horizon):
-                x = session.choose()
-                mu = instance.mean(x)
-                reward = pull(x, mu)
-                session.observe(reward)
-                rewards[t] = reward
-                means[t] = mu
-                if actions is not None:
-                    actions.append(x)
-        else:
-            sampler = _RoundSampler(instance, inst_rng)
-            t = 0
-            while t < horizon:
-                action = session.choose()
-                n = min(action.rounds, horizon - t)
-                sums, bet_rewards = sampler.rewards(
-                    action.queries, action.bet, n)
-                rewards[t:t + n] = bet_rewards
-                means[t:t + n] = instance.mean(action.bet)
-                if actions is not None:
-                    actions.extend([action.bet] * n)
-                t += n
-                # a block cut by the horizon is not observed; one that ends
-                # at it is, which records the session's next phase in info
-                if n == action.rounds:
-                    session.observe(sums)
+        t = 0
+        last = None
+        while t < horizon:
+            action = choose()
+            if action is not last:
+                # UCB1 yields the same Action object for every pull of an arm
+                last, mu = action, mean(action.bet)
+            n = action.rounds
+            if n > horizon - t:
+                n = horizon - t
+            feedback = draw(action, mu, t, n)
+            if actions is not None:
+                actions.extend([action.bet] * n)
+            t += n
+            # a block cut by the horizon is not observed; one that ends at
+            # it is, which records the session's next phase in info
+            if n == action.rounds:
+                observe(feedback)
     finally:
         session.close()
     return RegretTrace(
@@ -440,8 +480,25 @@ def export_json(traces, path, extra=None):
         fh.write(json.dumps(payload))
 
 
+def load_json(path):
+    """The JSON value in the file at path; a file that cannot be read or
+    parsed is a ValidationError."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValidationError(f"cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ValidationError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def import_json(path):
-    with open(path) as fh:
-        payload = json.load(fh)
-    return [RegretTrace.from_payload(d)
-            for d in required(payload, "traces", "trace file")]
+    payload = load_json(path)
+    if not isinstance(payload, dict):
+        raise ValidationError("a trace file must hold a JSON object")
+    traces = required(payload, "traces", "trace file")
+    if not (isinstance(traces, list)
+            and all(isinstance(d, dict) for d in traces)):
+        raise ValidationError(
+            "trace file field 'traces' must be a list of objects")
+    return [RegretTrace.from_payload(d) for d in traces]

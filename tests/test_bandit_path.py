@@ -3,12 +3,16 @@
 - UCB1: the index in Python floats against the numpy index with argmax.
 - Pulls: the chunked Bernoulli sampler of `run_match` against one
   `bandit_reward` per pull, in rewards, means and the noise stream's state.
+- Blocks: phased exploration with one action per sweep point and commit
+  tail against the session that played one round per action, at horizons
+  that cut a sweep point, a sweep or a phase.
 - Export: hex strings by distinct value against one `float.hex` per element,
   and the JSON round trip.
 
 The references are the pre-change code, kept here.
 """
 
+import itertools
 import json
 import math
 
@@ -18,7 +22,10 @@ from hypothesis import given, settings, strategies as st
 
 import banditlab.bandits as bn
 import banditlab.harness as hn
+import banditlab.instances as inst
 import banditlab.spaces as sps
+from banditlab.errors import ValidationError
+from blocks import drive
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                      database=None)
@@ -39,7 +46,7 @@ def ref_ucb1(arms, rounds):
         else:
             index = sums / counts + np.sqrt(2.0 * math.log(played) / counts)
             j = int(np.argmax(index))
-        reward = yield arms[j]
+        reward = yield bn.Action(arms[j])
         counts[j] += 1
         sums[j] += reward
         played += 1
@@ -47,10 +54,10 @@ def ref_ucb1(arms, rounds):
 
 def _arm_sequence(gen, reward_of):
     """Every arm the generator plays; reward_of(t, arm) answers round t."""
-    seq = [next(gen)]
+    seq = [next(gen).bet]
     try:
         while True:
-            seq.append(gen.send(reward_of(len(seq) - 1, seq[-1])))
+            seq.append(gen.send(reward_of(len(seq) - 1, seq[-1])).bet)
     except StopIteration:
         return seq
 
@@ -99,13 +106,15 @@ def ref_bandit_match(config):
     """The loop before chunked draws: bandit_reward per pull, then the mean."""
     instance, session, inst_rng = hn._materialize(config, config.seed)
     rewards, means = [], []
+
+    def pull(t, action):
+        reward = instance.bandit_reward(action.bet, inst_rng)
+        rewards.append(reward)
+        means.append(instance.mean(action.bet))
+        return reward
+
     try:
-        for _ in range(config.horizon):
-            x = session.choose()
-            reward = instance.bandit_reward(x, inst_rng)
-            session.observe(reward)
-            rewards.append(reward)
-            means.append(instance.mean(x))
+        drive(session, config.horizon, pull)
     finally:
         session.close()
     return np.array(rewards), np.array(means), inst_rng.bit_generator.state
@@ -189,6 +198,171 @@ def test_chunked_pulls_match_per_pull_at_chunk_bound(monkeypatch, horizon):
 
 
 # ---------------------------------------------------------------------------
+# phased exploration in blocks
+
+
+class PerRoundExplSession(bn.Session):
+    """PhasedExplSession before block actions: one round per action, the
+    sweep stepped through a queue that holds every point n times."""
+
+    def __init__(self, space, f_exponent_fn, sweep_cls):
+        super().__init__()
+        self.space = space
+        self.alpha = bn._resolve_alpha(f_exponent_fn)
+        self.sweep_cls = sweep_cls
+
+    def _run(self):
+        commit = self.space.canonical_least()
+        rounds = 0
+        for i in itertools.count(1):
+            T = 2 ** (2 ** i)
+            k, n, r = bn._phase_params(T, self.alpha)
+            sweep = self.sweep_cls(self.space, k, n, r)
+            queue = [x for x in sweep.points for _ in range(n)]
+            phase = {"phase": i, "length": T, "start": rounds,
+                     "k": k, "n": n, "r": r, "explore_cost": len(queue),
+                     "commit": commit, "completed": False}
+            self.info["phases"].append(phase)
+            for s in range(T):
+                if s < len(queue):
+                    reward = yield bn.Action(queue[s])
+                    sweep.sums[queue[s]] += reward
+                    if s + 1 == len(queue):
+                        commit = sweep.result()
+                        phase["commit"] = commit
+                        phase["completed"] = True
+                else:
+                    yield bn.Action(commit)
+            rounds += T
+
+
+def _per_round_session(algorithm, space, rng):
+    if algorithm["name"] == "completion_adapter":
+        inner = _per_round_session(algorithm["inner"], space, rng)
+        return bn.CompletionAdapterSession(inner, bn.dyadic_rounding(20), rng)
+    sweep = bn.ExplPrimeRun if algorithm["name"] == "cb_bandit" else bn.ExplRun
+    return PerRoundExplSession(space, algorithm.get("f", "log_power:1"),
+                               sweep)
+
+
+def ref_per_round_match(config):
+    """Rewards, means, phase records and the states of the noise and the
+    algorithm streams of a match with the per-round session."""
+    instance = inst.instance_from_descriptor(config.instance)
+    inst_rng = np.random.default_rng([config.seed, 0])
+    alg_rng = np.random.default_rng([config.seed, 1])
+    session = _per_round_session(config.algorithm, instance.space, alg_rng)
+    rewards, means = [], []
+
+    def pull(t, action):
+        reward = instance.bandit_reward(action.bet, inst_rng)
+        rewards.append(reward)
+        means.append(instance.mean(action.bet))
+        return reward
+
+    drive(session, config.horizon, pull)
+    session.close()
+    return (np.array(rewards), np.array(means), session.info,
+            inst_rng.bit_generator.state, alg_rng.bit_generator.state)
+
+
+_CONVERGENT_PEAK = {"kind": "peak", "space": sps.ConvergentSpace(100)
+                    .descriptor(), "peak": 0.0, "slope": 0.5, "c": 0.9,
+                    "noise": "bernoulli"}
+
+# (instance, algorithm, index of the phase whose sweep and end are cut)
+_CUT_CONFIGS = {
+    "well_ordered_bandit": (_CONVERGENT_PEAK,
+                            {"name": "well_ordered_bandit"}, 2),
+    "cb_bandit": (_CONVERGENT_PEAK, {"name": "cb_bandit"}, 2),
+    "completion_adapter": (_peak(_ORDERED), {
+        "name": "completion_adapter",
+        "inner": {"name": "well_ordered_bandit"},
+        "rounding": "dyadic:20"}, 2),
+    # sweeps of 7 points x 19 pulls in a phase of 16 rounds: the phase end
+    # cuts the sweep, and the earlier commit carries over
+    "well_ordered_bandit-sweep_past_phase": (
+        _CONVERGENT_PEAK, {"name": "well_ordered_bandit",
+                           "f": "log_power:4"}, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_CUT_CONFIGS))
+def test_horizon_cuts_match_per_round_session(monkeypatch, name):
+    """Cut inside a sweep point, at the end of the sweep, at the end of the
+    phase and one round past it: the block session gives the per-round
+    session's trace, phase records and stream states."""
+    instance_d, algorithm, index = _CUT_CONFIGS[name]
+
+    def config(horizon):
+        return hn.ExperimentConfig(instance_d["space"], instance_d,
+                                   algorithm, horizon, seed=3)
+
+    phase = ref_per_round_match(config(2 ** 9))[2]["phases"][index]
+    start, end = phase["start"], phase["start"] + phase["length"]
+    sweep_end = start + min(phase["explore_cost"], phase["length"])
+    cuts = [start + phase["n"] // 2, sweep_end, end, end + 1]
+    assert start < cuts[0] < sweep_end
+    if name.endswith("sweep_past_phase"):
+        assert phase["explore_cost"] > phase["length"]
+    else:
+        assert sweep_end < end
+
+    alg_rngs = []
+    build = hn.build_algorithm
+
+    def spy(descriptor, space, rng):
+        alg_rngs.append(rng)
+        return build(descriptor, space, rng)
+
+    monkeypatch.setattr(hn, "build_algorithm", spy)
+    for horizon in cuts:
+        rewards, means, info, inst_state, alg_state = ref_per_round_match(
+            config(horizon))
+        trace, trace_state = _run_with_state(monkeypatch, config(horizon))
+        assert np.array_equal(_bits(trace.rewards), _bits(rewards))
+        assert np.array_equal(_bits(trace.means), _bits(means))
+        assert trace.info == info
+        assert trace_state == inst_state
+        assert alg_rngs[-1].bit_generator.state == alg_state
+
+
+class _FixedBlocks(bn.Session):
+    """Plays (point, rounds) blocks in a cycle and records the feedback."""
+
+    def __init__(self, blocks):
+        super().__init__()
+        self.blocks = blocks
+        self.feedback = []
+
+    def _run(self):
+        while True:
+            for x, n in self.blocks:
+                self.feedback.append((yield bn.Action(x, rounds=n)))
+
+
+@pytest.mark.parametrize("name", ["lineage", "phased_ucb1-bernoulli",
+                                  "phased_ucb1-none"])
+def test_bandit_block_feedback_is_round_order_sum(monkeypatch, name):
+    """A bandit block is sent its rewards added one by one from 0.0; the
+    sign-mixture rewards are not 0/1, so another order would round
+    differently."""
+    blocks = [(0.1, 7), (0.55, 1), (0.9, 13), (0.3, 5)]
+    session = _FixedBlocks(blocks)
+    monkeypatch.setattr(hn, "build_algorithm", lambda *args: session)
+    trace = hn.run_match(_config(name, 60))
+    starts = itertools.accumulate([n for _x, n in blocks] * 3, initial=0)
+    for feedback, (start, stop) in zip(session.feedback,
+                                       itertools.pairwise(starts)):
+        total = 0.0
+        for reward in trace.rewards[start:stop].tolist():
+            total += reward
+        assert feedback.hex() == total.hex()
+    # 60 rounds: two full cycles of 26 and two blocks of the third
+    assert len(session.feedback) == 2 * len(blocks) + 2
+
+
+# ---------------------------------------------------------------------------
 # trace export and import
 
 
@@ -262,6 +436,11 @@ def test_trace_export_round_trips(tmp_path):
         assert payload["mu_star"] == float(mu_star).hex()
 
         hn.export_json([trace, trace], path, extra=extra)
+        if not len(trace.rewards):
+            # a trace of horizon 0 exports, but it no longer imports
+            with pytest.raises(ValidationError, match="'horizon'"):
+                hn.import_json(path)
+            return
         back = hn.import_json(path)
         assert len(back) == 2
         for tr in back:

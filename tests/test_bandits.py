@@ -7,6 +7,7 @@ import banditlab.bandits as bd
 import banditlab.instances as inst
 import banditlab.spaces as sps
 from banditlab.errors import ValidationError
+from blocks import drive
 
 
 def _convergent_peak(noise="none"):
@@ -18,14 +19,28 @@ def _convergent_peak(noise="none"):
 # exploration sweeps
 
 
+def _sweep(run, pull):
+    """Drive run.run() to its result: each point's action is sent the sum of
+    pull(x) over its rounds.  Returns the result and the rounds pulled."""
+    sweep = run.run(lambda x: bd.Action(x, rounds=run.n))
+    action = next(sweep)
+    pulls = 0
+    try:
+        while True:
+            total = 0.0
+            for _ in range(action.rounds):
+                total += pull(action.bet)
+            pulls += action.rounds
+            action = sweep.send(total)
+    except StopIteration as done:
+        return done.value, pulls
+
+
 def test_expl_budget_accounting():
     space, instance = _convergent_peak()
     run = bd.ExplRun(space, 11, 5, 0.04)
-    assert len(run.queue) == 11 * 5
-    pulls = 0
-    while not run.finished:
-        run.record(instance.mean(run.next_point()))
-        pulls += 1
+    assert len(run.points) * run.n == 11 * 5
+    _result, pulls = _sweep(run, instance.mean)
     assert pulls == 55
 
 
@@ -38,8 +53,7 @@ def test_expl_zero_noise_finds_optimum():
 def test_expl_loser_rule_keeps_optimal_point():
     space, instance = _convergent_peak()
     run = bd.ExplRun(space, 11, 1, 0.001)
-    while not run.finished:
-        run.record(instance.mean(run.next_point()))
+    _sweep(run, instance.mean)
     avg = run.averages()
     best = max(avg.values())
     threshold = 2 * run.r + run.delta
@@ -84,9 +98,8 @@ def test_phase_lengths_doubly_exponential():
     space, instance = _convergent_peak()
     session = bd.PhasedExplSession(space)
     rng = np.random.default_rng(0)
-    for _ in range(4 + 16 + 256 + 10):
-        x = session.choose()
-        session.observe(instance.bandit_reward(x, rng))
+    drive(session, 4 + 16 + 256 + 10,
+          lambda t, a: instance.bandit_reward(a.bet, rng))
     lengths = [p["length"] for p in session.info["phases"]]
     assert lengths == [2 ** 2, 2 ** 4, 2 ** 8, 2 ** 16]
 
@@ -94,9 +107,7 @@ def test_phase_lengths_doubly_exponential():
 def test_well_ordered_bandit_zero_noise_commits_to_peak():
     space, instance = _convergent_peak()
     session = bd.PhasedExplSession(space)
-    for _ in range(2 ** 10):
-        x = session.choose()
-        session.observe(instance.mean(x))
+    drive(session, 2 ** 10, lambda t, a: instance.mean(a.bet))
     completed = [p for p in session.info["phases"] if p["completed"]]
     assert completed and all(p["commit"] == 0.0 for p in completed[1:])
 
@@ -113,9 +124,7 @@ def test_f_preset_registry():
 def test_cb_bandit_on_convergent():
     space, instance = _convergent_peak()
     session = bd.PhasedExplSession(space, sweep_cls=bd.ExplPrimeRun)
-    for _ in range(300):
-        x = session.choose()
-        session.observe(instance.mean(x))
+    drive(session, 300, lambda t, a: instance.mean(a.bet))
     completed = [p for p in session.info["phases"] if p["completed"]]
     assert completed and completed[-1]["commit"] == 0.0
 
@@ -127,7 +136,7 @@ def test_cb_bandit_on_convergent():
 def test_ucb1_single_arm():
     s = bd.UCB1Session(["only"])
     for _ in range(20):
-        assert s.choose() == "only"
+        assert s.choose().bet == "only"
         s.observe(1.0)
 
 
@@ -136,7 +145,7 @@ def test_ucb1_zero_noise_separation():
     means = [0.2, 0.8]
     picks = []
     for _ in range(4096):
-        a = s.choose()
+        a = s.choose().bet
         picks.append(a)
         s.observe(means[a])
     # deterministic index trace: arm 0 is pulled only logarithmically often
@@ -151,7 +160,7 @@ def test_ucb1_replay_deterministic():
         rng = np.random.default_rng(5)
         out = []
         for _ in range(500):
-            a = s.choose()
+            a = s.choose().bet
             out.append(a)
             s.observe(float(rng.random() < (0.5, 0.6)[a]))
         return out
@@ -173,9 +182,7 @@ def test_phased_ucb1_schedule_matches_closed_form():
     space = sps.IntervalSpace()
     session = bd.PhasedUCB1Session(space)
     instance = inst.PeakInstance(space, 0.8, 1.0, c=0.9, noise="none")
-    for _ in range(2 ** 12):
-        x = session.choose()
-        session.observe(instance.mean(x))
+    drive(session, 2 ** 12, lambda t, a: instance.mean(a.bet))
     # interval net at radius 2^-k has 2^(k-1) points
     def tstar(k):
         n = 2 ** (k - 1)
@@ -195,9 +202,7 @@ def test_phased_ucb1_saturates_on_finite_space():
     space = sps.FiniteSpace([0.0, 0.5, 1.0])
     session = bd.PhasedUCB1Session(space)
     means = {0.0: 0.2, 0.5: 0.9, 1.0: 0.4}
-    for _ in range(3000):
-        x = session.choose()
-        session.observe(means[x])
+    drive(session, 3000, lambda t, a: means[a.bet])
     phases = session.info["phases"]
     assert any(p["saturated"] for p in phases)
     sat = [p for p in phases if p["saturated"]]
@@ -223,11 +228,7 @@ def test_completion_adapter_identity_on_binary_rewards():
     means = {0.0: 0.0, 1.0: 1.0}
 
     def run(session):
-        out = []
-        for _ in range(200):
-            x = session.choose()
-            out.append(x)
-            session.observe(means[x])
+        out, _queries = drive(session, 200, lambda t, a: means[a.bet])
         return out
 
     plain = run(bd.UCB1Session([0.0, 1.0]))
@@ -245,7 +246,7 @@ def test_completion_adapter_mean_preserving():
 
         def _run(self):
             while True:
-                v = yield 0.0
+                v = yield bd.Action(0.0)
                 self.feedback.append(v)
 
     rec = Recorder()
@@ -266,6 +267,6 @@ def test_completion_adapter_rounds_actions():
                                           np.random.default_rng(0))
     rng = np.random.default_rng(2)
     for t in range(1, 50):
-        x = adapter.choose()
-        assert abs(x - inner.choose()) <= 2.0 ** -t
+        x = adapter.choose().bet
+        assert abs(x - inner.choose().bet) <= 2.0 ** -t
         adapter.observe(float(rng.random() < 0.5))

@@ -190,3 +190,58 @@ def test_fit_malformed_trace_file_exits_1(tmp_path, capsys, payload, message):
     path = _write(tmp_path, "traces.json", payload)
     assert cli.main(["fit", "--input", path]) == 1
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "not valid JSON"),
+    ("[1,2]", "JSON object"),
+    ('{"traces": {"a": 1}}', "'traces'"),
+], ids=["not-json", "top-level-list", "traces-dict"])
+def test_fit_trace_file_of_wrong_shape_exits_1(tmp_path, capsys, text,
+                                               message):
+    path = tmp_path / "traces.json"
+    path.write_text(text)
+    assert cli.main(["fit", "--input", str(path)]) == 1
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("horizon", [0, True])
+def test_fit_trace_horizon_below_one_or_bool_exits_1(tmp_path, capsys,
+                                                     horizon):
+    # as many rewards and means as the horizon counts
+    path = _write(tmp_path, "traces.json", {"traces": [{
+        "algorithm": "ucb1", "instance": "arms", "seed": 0,
+        "horizon": horizon, "mu_star": (0.7).hex(),
+        "rewards": [(1.0).hex()] * horizon,
+        "means": [(0.7).hex()] * horizon}]})
+    assert cli.main(["fit", "--input", path]) == 1
+    assert "'horizon'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("horizon", "10"), ("horizon", 1.5), ("horizon", None),
+    ("horizon", True), ("seed", "abc"), ("seed", 1.0), ("seed", False),
+    ("seed", -1),
+])
+def test_simulate_config_horizon_and_seed_must_be_ints(tmp_path, capsys,
+                                                       field, value):
+    space = sps.FiniteSpace([0.0, 1.0]).descriptor()
+    config = {"space": space,
+              "instance": {"kind": "arms", "space": space,
+                           "means": [0.3, 0.7]},
+              "algorithm": _UCB1, "horizon": 8, "seed": 0}
+    config[field] = value
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
+    assert f"{field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("arms", [[0.0, 5.0], [0.5], 1.0])
+def test_simulate_ucb1_arm_outside_space_exits_1(tmp_path, capsys, arms):
+    space = sps.FiniteSpace([0.0, 1.0]).descriptor()
+    config = _write(tmp_path, "cfg.json", {
+        "space": space,
+        "instance": {"kind": "arms", "space": space, "means": [0.3, 0.7]},
+        "algorithm": {"name": "ucb1", "arms": arms}, "horizon": 8,
+        "seed": 0})
+    assert cli.main(["simulate", config]) == 1
+    assert "'arms'" in capsys.readouterr().err

@@ -8,28 +8,22 @@ import banditlab.experts as ex
 import banditlab.instances as inst
 import banditlab.spaces as sps
 from banditlab.errors import UnsupportedCapabilityError, ValidationError
+from blocks import drive
 
 
 def _drive(session, instance, rounds, corrupt=None):
-    """Zero-noise stepping of block actions, expanded into per-round bets
-    and query logs.  Each round's feedback is the query means, which
-    corrupt(t, values) may replace; the session observes their round-order
-    sums, and only after a block that ran in full."""
-    bets, query_log = [], []
-    t = 0
-    while t < rounds:
-        a = session.choose()
-        n = min(a.rounds, rounds - t)
-        values = instance.mean_vector(list(a.queries))
-        sums = np.zeros(len(a.queries))
-        for s in range(t, t + n):
-            sums += values if corrupt is None else corrupt(s, values.copy())
-        bets.extend([a.bet] * n)
-        query_log.extend([a.queries] * n)
-        t += n
-        if n == a.rounds:
-            session.observe(sums)
-    return bets, query_log
+    """Zero-noise stepping: each round's feedback is the query means, which
+    corrupt(t, values) may replace."""
+    block = {}
+
+    def feedback(t, action):
+        if block.get("action") is not action:
+            block.update(action=action, values=instance.mean_vector(
+                list(action.queries)))
+        values = block["values"]
+        return values if corrupt is None else corrupt(t, values.copy())
+
+    return drive(session, rounds, feedback)
 
 
 def _phase_slices(phases, total):
