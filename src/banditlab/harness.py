@@ -304,20 +304,12 @@ def run_match(config, seed=None):
     actions = [] if config.record_actions else None
     if session.mode == "bandit":
         pull = _pull_sampler(instance, inst_rng, horizon)
-        # UCB1 stores one round at a time; a memoryview store skips numpy's
-        # scalar indexing
-        reward_at, mean_at = memoryview(rewards), memoryview(means)
 
         def draw(action, mu, t, n):
-            x = action.bet
-            if n == 1:  # UCB1's actions; the sum of one pull is the pull
-                reward_at[t] = reward = pull(x, mu)
-                mean_at[t] = mu
-                return reward
             total = 0.0
             for s in range(t, t + n):
-                reward_at[s] = reward = pull(x, mu)
-                mean_at[s] = mu
+                rewards[s] = reward = pull(action.bet, mu)
+                means[s] = mu
                 total += reward
             return total
     else:
