@@ -31,3 +31,10 @@ def required(d, key, where):
         return d[key]
     except KeyError:
         raise ValidationError(f"{where} needs the field {key!r}") from None
+
+
+def known(d, keys, where):
+    """A key of d outside keys is a ValidationError that names it."""
+    for key in d:
+        if key not in keys:
+            raise ValidationError(f"{where} has the unknown field {key!r}")

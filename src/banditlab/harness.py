@@ -18,12 +18,13 @@ import json
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import bandits, experts, instances, spaces as sp
-from .errors import BanditLabError, StructuralError, ValidationError, required
+from .errors import (BanditLabError, StructuralError, ValidationError, known,
+                     required)
 
 
 # ---------------------------------------------------------------------------
@@ -111,10 +112,22 @@ def _is_int(value):
 # algorithm registry
 
 
+# the parameters each algorithm reads, besides its name
+_ALGORITHM_FIELDS = {
+    "ucb1": ("arms",), "well_ordered_bandit": ("f",), "cb_bandit": ("f",),
+    "phased_ucb1": (), "completion_adapter": ("inner", "rounding"),
+    "double_feedback_expert": (), "naive_experts": ("b", "uniform"),
+    "maxminlcd_experts": ("b", "uniform", "active_cap"),
+}
+
+
 def build_algorithm(descriptor, space, rng):
     name = descriptor.get("name")
+    if not isinstance(name, str) or name not in _ALGORITHM_FIELDS:
+        raise ValidationError(f"unknown algorithm {name!r}")
     params = {k: v for k, v in descriptor.items() if k != "name"}
     where = f"algorithm {name!r}"
+    known(params, _ALGORITHM_FIELDS[name], where)
     if name == "ucb1":
         arms = required(params, "arms", where)
         try:
@@ -146,12 +159,10 @@ def build_algorithm(descriptor, space, rng):
         return experts.NaiveExperts(
             space, required(params, "b", where),
             uniform=params.get("uniform", False))
-    if name == "maxminlcd_experts":
-        return experts.MaxMinLCDExperts(
-            space, required(params, "b", where),
-            uniform=params.get("uniform", False),
-            active_cap=params.get("active_cap", 4096))
-    raise ValidationError(f"unknown algorithm {name!r}")
+    return experts.MaxMinLCDExperts(
+        space, required(params, "b", where),
+        uniform=params.get("uniform", False),
+        active_cap=params.get("active_cap", 4096))
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +284,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d):
+        known(d, [f.name for f in fields(ExperimentConfig)], "config")
         return ExperimentConfig(
             *(required(d, key, "config")
               for key in ("space", "instance", "algorithm", "horizon")),

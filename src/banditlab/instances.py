@@ -3,7 +3,11 @@ constructions (needle lineages on a ball tree, the bump-sequence ensemble,
 the disjoint-wedge family, and the recursive bump-ball family).
 
 Every instance exposes an analytic expected payoff `mean(x)`, its supremum
-`mu_star`, and `bandit_reward(x, rng)` for one pull.  A sign mixture is
+`mu_star`, and `bandit_reward(x, rng)` for one pull.  The three sign
+mixtures (lineage, noncompact, maxminlcd) compile their terms once, at
+construction, into a forest of `_Term`s: signed, plateaued bumps on nested
+balls whose siblings are disjoint, each with its key and sign bias.  One
+walk down that forest gives the terms active at a point.  A sign mixture is
 sampled one round at a time by a `FunctionSample`, which draws each sign on
 first use and keeps it for the rest of the round.
 """
@@ -90,14 +94,62 @@ class PayoffInstance:
             return self.mean(x)
         return 1.0 if rng.random() < self.mean(x) else 0.0
 
-    def active_terms(self, x):
-        """(key, value, bias) triples with payoff 1/2 + sum sign_key * value,
-        sign_key in {-1, +1} with expectation bias.  Only sign mixtures
-        implement this."""
-        raise NotImplementedError
-
     def descriptor(self):
         raise NotImplementedError
+
+
+@dataclass(slots=True)
+class _Term:
+    """One signed bump of a sign mixture: min(radius - d(x, center), height)
+    inside B(center, radius), zero outside.  Its sign has expectation bias;
+    its children are the terms nested in its ball."""
+
+    key: object
+    center: object
+    radius: float
+    height: float
+    bias: float
+    children: list
+
+
+class _SignMixture(PayoffInstance):
+    """Payoff 1/2 + sum of sign_key * value over the terms active at x.
+    Each subclass compiles its terms at construction into the forest
+    `self.roots`; siblings must be disjoint, so x lies in at most one ball
+    per level and the active terms form one chain from a root down."""
+
+    uniformly_lipschitz = True
+
+    def _chain(self, x):
+        """(term, value) for each term whose ball contains x, root first."""
+        distance = self.space.distance
+        terms = self.roots
+        while terms:
+            inside = None
+            for term in terms:
+                d = distance(x, term.center)
+                if d < term.radius:
+                    if inside is not None:
+                        raise ValidationError(
+                            "sibling balls overlap; construction invalid")
+                    inside, value = term, min(term.radius - d, term.height)
+            if inside is None:
+                return
+            yield inside, value
+            terms = inside.children
+
+    def active_terms(self, x):
+        """(key, value, bias) triples with payoff 1/2 + sum sign_key * value,
+        sign_key in {-1, +1} with expectation bias."""
+        for term, value in self._chain(x):
+            yield term.key, value, term.bias
+
+    def mean(self, x):
+        total = 0.5
+        for term, value in self._chain(x):
+            if term.bias:
+                total += term.bias * value
+        return total
 
 
 def monte_carlo_mean(instance, x, n, rng):
@@ -235,13 +287,13 @@ def _lineage_deltas(tree, gamma, depth_cap):
     return deltas, r_star
 
 
-class LineageInstance(PayoffInstance):
-    """Sum of signed needles over a ball tree.  A lineage designates one
-    child of every node; signs of lineage nodes at depth i are +1 with
-    probability (1 + delta_i)/2, all other signs are fair coins."""
+class LineageInstance(_SignMixture):
+    """Sum of signed needles (`needle_eval`) over a ball tree.  A lineage
+    designates one child of every node; signs of lineage nodes at depth i
+    are +1 with probability (1 + delta_i)/2, all other signs are fair
+    coins."""
 
     kind = "lineage"
-    uniformly_lipschitz = True
 
     def __init__(self, space, tree, gamma=0.3, depth_cap=None, seed=0,
                  biases=None, lineage="seeded"):
@@ -264,7 +316,7 @@ class LineageInstance(PayoffInstance):
         if any(not 0 <= d <= 1 for d in self.deltas):
             raise ValidationError("biases must lie in [0,1]")
         self._choice = self._pick_lineage()
-        self.metadata["tail_bound"] = 2.0 ** (-self.depth_cap - 1)
+        self.roots = self._compile(tree.root, 0)
 
     def _pick_lineage(self):
         choice = {}
@@ -282,37 +334,16 @@ class LineageInstance(PayoffInstance):
             raise ValidationError(f"unknown lineage rule {self.lineage_rule!r}")
         return choice
 
-    def _chain(self, x):
-        """Ball-tree nodes of depth 1..depth_cap whose ball contains x,
-        with their depth and lineage membership."""
-        node = self.tree.root
-        depth = 0
-        while node.children and depth < self.depth_cap:
-            inside = [
-                (i, ch) for i, ch in enumerate(node.children)
-                if self.space.distance(x, ch.center) < ch.radius
-            ]
-            if len(inside) > 1:
-                raise ValidationError("sibling balls overlap; tree is invalid")
-            if not inside:
-                return
-            idx, child = inside[0]
-            depth += 1
-            yield depth, child, self._choice.get(node.path) == idx
-            node = child
-
-    def active_terms(self, x):
-        for depth, node, in_lineage in self._chain(x):
-            value = needle_eval(node, x, self.space)
-            bias = self.deltas[depth - 1] if in_lineage else 0.0
-            yield node.path, value, bias
-
-    def mean(self, x):
-        total = 0.5
-        for depth, node, in_lineage in self._chain(x):
-            if in_lineage:
-                total += self.deltas[depth - 1] * needle_eval(node, x, self.space)
-        return total
+    def _compile(self, node, depth):
+        """Terms of node's children, keyed by path and cut at depth_cap: the
+        designated child is biased by delta at its depth."""
+        if depth >= self.depth_cap:
+            return []
+        pick = self._choice.get(node.path)
+        return [_Term(ch.path, ch.center, ch.radius, ch.radius / 2.0,
+                      self.deltas[depth] if i == pick else 0.0,
+                      self._compile(ch, depth + 1))
+                for i, ch in enumerate(node.children)]
 
     def lineage_path(self):
         """Nodes reached by following the designated child from the root."""
@@ -401,14 +432,13 @@ class LogTEnsembleInstance(PayoffInstance):
 # disjoint wedges with one favored center per block
 
 
-class NoncompactInstance(PayoffInstance):
+class NoncompactInstance(_SignMixture):
     """Disjoint wedges G_i(x) = min(r - d(x, s_i), r - r_k) on B(s_i, r).
     Centers are grouped in blocks; within block k the plateau height is
     r - r_k with r_k = r / 2^{k+1}.  One favored center per block keeps a
     fixed +1 sign; all other wedges flip fair coins each round."""
 
     kind = "noncompact"
-    uniformly_lipschitz = True
 
     def __init__(self, centers, r, t_schedule=None, seed=0, space=None,
                  sizes=None):
@@ -422,16 +452,12 @@ class NoncompactInstance(PayoffInstance):
             for q in centers[i + 1:]:
                 if space.distance(p, q) <= 2 * r:
                     raise ValidationError("wedge balls overlap")
+        self.metadata["guarantee_breaking"] = sizes is not None
         if sizes is None:
             if t_schedule is None or any(
                     b <= a for a, b in zip(t_schedule, t_schedule[1:])):
                 raise InvalidScheduleError("t_schedule must be strictly increasing")
             sizes = [4 ** t for t in t_schedule]
-            self.metadata["guarantee_breaking"] = False
-        else:
-            self.metadata["guarantee_breaking"] = True
-            self.metadata["theoretical_sizes"] = (
-                [4 ** t for t in t_schedule] if t_schedule else None)
         if sum(sizes) != len(centers):
             raise ValidationError("block sizes must sum to the center count")
         self.centers = list(centers)
@@ -450,25 +476,9 @@ class NoncompactInstance(PayoffInstance):
             favored.append(start + int(rng.integers(size)))
             start += size
         self.favored = set(favored)
-
-    def _wedge(self, i, x):
-        d = self.space.distance(x, self.centers[i])
-        if d >= self.r:
-            return 0.0
-        return min(self.r - d, self.r - self.r_k[self.block_of[i]])
-
-    def active_terms(self, x):
-        for i, c in enumerate(self.centers):
-            if self.space.distance(x, c) < self.r:
-                value = self._wedge(i, x)
-                yield i, value, (1.0 if i in self.favored else 0.0)
-                return
-
-    def mean(self, x):
-        for i, c in enumerate(self.centers):
-            if self.space.distance(x, c) < self.r:
-                return 0.5 + (self._wedge(i, x) if i in self.favored else 0.0)
-        return 0.5
+        self.roots = [_Term(i, c, self.r, self.r - self.r_k[self.block_of[i]],
+                            1.0 if i in self.favored else 0.0, [])
+                      for i, c in enumerate(self.centers)]
 
     @property
     def mu_star(self):
@@ -487,23 +497,12 @@ class NoncompactInstance(PayoffInstance):
 # recursive bump balls with a biased chain
 
 
-@dataclass
-class _BumpBall:
-    center: float
-    radius: float
-    level: int
-    in_q: bool
-    key: int
-    children: list
-
-
-class MaxMinLCDInstance(PayoffInstance):
+class MaxMinLCDInstance(_SignMixture):
     """Recursive disjoint balls on the interval; each parent holds n_i child
     balls inside its inner half, one of which (the Q child) gets sign bias
     E[sigma] = 1/3.  mu = 1/2 + sum over Q balls of their bump / 3."""
 
     kind = "maxminlcd"
-    uniformly_lipschitz = True
 
     def __init__(self, space, b=0.5, depth_cap=3, seed=0, n_list=None):
         if space is None:
@@ -525,10 +524,6 @@ class MaxMinLCDInstance(PayoffInstance):
         for n in self.n_list:
             r_prev = r_prev / (4.0 * n)
             self.radii.append(r_prev)
-        self.metadata["theoretical_n"] = [
-            math.ceil(2.0 ** (r ** -self.b)) if r ** -self.b < 40 else None
-            for r in self.radii
-        ]
         self.roots = self._grow(0.5, 0.25, 0, rng)
         if sum(self.radii) >= 1.0 / 3.0:
             raise ValidationError("radius sum must stay below 1/3")
@@ -540,50 +535,28 @@ class MaxMinLCDInstance(PayoffInstance):
         r_child = self.radii[level]
         left = center - r_prev / 2.0
         q_idx = int(rng.integers(n))
-        balls = []
+        terms = []
         for j in range(n):
             c = left + (j + 0.5) * (r_prev / n)
-            self._key += 1
-            ball = _BumpBall(c, r_child, level + 1, j == q_idx, self._key, [])
-            ball.children = self._grow(c, r_child, level + 1, rng)
-            balls.append(ball)
-        return balls
-
-    def _chain(self, x):
-        balls = self.roots
-        while balls:
-            inside = [bb for bb in balls
-                      if self.space.distance(x, bb.center) < bb.radius]
-            if len(inside) > 1:
-                raise ValidationError("bump balls overlap; construction invalid")
-            if not inside:
-                return
-            ball = inside[0]
-            yield ball
-            balls = ball.children
-
-    def _bump(self, ball, x):
-        d = self.space.distance(x, ball.center)
-        if d >= ball.radius:
-            return 0.0
-        return min(ball.radius - d, ball.radius / 2.0)
-
-    def active_terms(self, x):
-        for ball in self._chain(x):
-            yield ball.key, self._bump(ball, x), (1.0 / 3.0 if ball.in_q else 0.0)
+            self._key += 1  # keys in preorder: read before the subtree grows
+            terms.append(_Term(self._key, c, r_child, r_child / 2.0,
+                               1.0 / 3.0 if j == q_idx else 0.0,
+                               self._grow(c, r_child, level + 1, rng)))
+        return terms
 
     def mean(self, x):
+        # adds value / 3.0; value * (1.0 / 3.0) differs in some last bits
         total = 0.5
-        for ball in self._chain(x):
-            if ball.in_q:
-                total += self._bump(ball, x) / 3.0
+        for term, value in self._chain(x):
+            if term.bias:
+                total += value / 3.0
         return total
 
     def q_chain_center(self):
         balls = self.roots
         center = 0.5
         while balls:
-            ball = next(bb for bb in balls if bb.in_q)
+            ball = next(bb for bb in balls if bb.bias)
             center = ball.center
             balls = ball.children
         return center

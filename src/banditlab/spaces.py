@@ -152,10 +152,7 @@ class DepthStructure:
 
 class MetricSpace:
     kind = "abstract"
-    well_ordered = False
-    cb_ranked = False
     has_perfect_subspace = False
-    diameter = 1.0
     depth_structure: DepthStructure | None = None
 
     # -- points ----------------------------------------------------------
@@ -238,7 +235,6 @@ class IntervalSpace(MetricSpace):
         self.well_order = well_order
         if well_order not in (None, "coordinate"):
             raise ValidationError("interval well_order must be 'coordinate'")
-        self.well_ordered = well_order is not None
         self._scan = None
         _attach_depth(self, depth_chain, depth_dimension)
 
@@ -259,7 +255,7 @@ class IntervalSpace(MetricSpace):
         return 0.0
 
     def order_key(self, p):
-        if not self.well_ordered:
+        if self.well_order is None:
             return super().order_key(p)
         return p
 
@@ -363,8 +359,6 @@ class FiniteSpace(_PointSetSpace):
     """A finite set of points on the line; listed order is the well-order."""
 
     kind = "finite"
-    well_ordered = True
-    cb_ranked = True
 
     def __init__(self, coords, depth_chain=None, depth_dimension=0.0):
         if len(coords) == 0:
@@ -373,7 +367,6 @@ class FiniteSpace(_PointSetSpace):
             raise ValidationError("finite space points must be distinct")
         self.coords = self._points = [float(c) for c in coords]
         self._pointset = set(self._points)
-        self.diameter = max(self.coords) - min(self.coords) or 1.0
         self._order = {c: i for i, c in enumerate(self.coords)}
         _attach_depth(self, depth_chain, depth_dimension)
 
@@ -395,8 +388,6 @@ class ConvergentSpace(_PointSetSpace):
     """
 
     kind = "convergent"
-    well_ordered = True
-    cb_ranked = True
 
     def __init__(self, n_max=100):
         if n_max < 1:
@@ -432,7 +423,6 @@ class ConvergentUnionSpace(_PointSetSpace):
     the points limit + sign/n, n <= N, plus the limit itself."""
 
     kind = "convergent_union"
-    cb_ranked = True
 
     def __init__(self, branches):
         self.branches = [(float(l), int(s), int(n)) for l, s, n in branches]
@@ -447,7 +437,6 @@ class ConvergentUnionSpace(_PointSetSpace):
             raise ValidationError("branch points collide")
         self._pointset = set(self._points)
         self._iso = sorted(set(iso))
-        self.diameter = max(self._points) - min(self._points)
 
     def rank_classes(self):
         return [self._iso, sorted(set(self.limits))]
@@ -462,7 +451,6 @@ class NestedConvergentSpace(_PointSetSpace):
     sequence 1/m + 1/(m(m+1)n), n <= N, converging to 1/m from above."""
 
     kind = "nested_convergent"
-    cb_ranked = True
 
     def __init__(self, m_max=10, n_max=10):
         self.m_max, self.n_max = int(m_max), int(n_max)

@@ -245,3 +245,30 @@ def test_simulate_ucb1_arm_outside_space_exits_1(tmp_path, capsys, arms):
         "seed": 0})
     assert cli.main(["simulate", config]) == 1
     assert "'arms'" in capsys.readouterr().err
+
+
+def test_simulate_config_unknown_field_exits_1(tmp_path, capsys):
+    space = sps.FiniteSpace([0.0, 1.0]).descriptor()
+    config = _write(tmp_path, "cfg.json", {
+        "space": space,
+        "instance": {"kind": "arms", "space": space, "means": [0.3, 0.7]},
+        "algorithm": _UCB1, "horizon": 8, "sead": 3})
+    assert cli.main(["simulate", config]) == 1
+    assert "'sead'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("algorithm, field", [
+    ({"name": "ucb1", "arms": [0.0, 1.0], "arm": 5}, "arm"),
+    ({"name": "phased_ucb1", "b": 1.0}, "b"),
+    ({"name": "completion_adapter",
+      "inner": {"name": "phased_ucb1", "roundng": "identity"}}, "roundng"),
+])
+def test_simulate_algorithm_unknown_field_exits_1(tmp_path, capsys,
+                                                  algorithm, field):
+    space = sps.FiniteSpace([0.0, 1.0]).descriptor()
+    config = _write(tmp_path, "cfg.json", {
+        "space": space,
+        "instance": {"kind": "arms", "space": space, "means": [0.3, 0.7]},
+        "algorithm": algorithm, "horizon": 8, "seed": 0})
+    assert cli.main(["simulate", config]) == 1
+    assert f"{field!r}" in capsys.readouterr().err

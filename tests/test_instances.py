@@ -136,6 +136,19 @@ def test_lineage_round_sample_coherent():
     assert sample.evaluate(x) == sample.evaluate(x)
 
 
+def test_lineage_overlapping_children_rejected():
+    # the walk checks sibling disjointness: a hand-built tree can break it
+    root = sps.BallNode(0.5, 1.0, children=[sps.BallNode(0.4, 0.2, path="0"),
+                                            sps.BallNode(0.5, 0.2, path="1")])
+    li = inst.LineageInstance(_interval(), sps.BallTree(root, 1),
+                              biases=[0.5], lineage="leftmost")
+    with pytest.raises(ValidationError, match="overlap"):
+        list(li.active_terms(0.45))
+    with pytest.raises(ValidationError, match="overlap"):
+        li.mean(0.45)
+    assert li.mean(0.25) == pytest.approx(0.5 + 0.5 * 0.05)  # left child only
+
+
 # ---------------------------------------------------------------------------
 # bump-sequence ensemble
 
