@@ -34,15 +34,13 @@ class Action:
 class Session:
     """Generator-backed stepping state.  Subclasses implement _run() to
     return an infinite generator that yields Actions and receives feedback.
-    An action may stand for a block of rounds, so `t` counts observed
-    actions, not rounds."""
+    An action may stand for a block of rounds."""
 
     mode = "bandit"
 
     def __init__(self):
         self._gen = None
         self._action = None
-        self.t = 0
         self.info = {"phases": []}
 
     def _run(self):
@@ -57,7 +55,6 @@ class Session:
     def observe(self, feedback):
         if self._gen is None:
             raise ValidationError("observe() before choose()")
-        self.t += 1
         self._action = self._gen.send(feedback)
 
     def close(self):

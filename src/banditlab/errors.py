@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the field checks that
+raise them for configs and descriptors."""
+
+import inspect
 
 
 class BanditLabError(Exception):
@@ -25,8 +28,16 @@ class ValidationError(BanditLabError):
     """A configuration or descriptor failed validation."""
 
 
+def _object(d, where):
+    if not isinstance(d, dict):
+        raise ValidationError(
+            f"{where} must be a JSON object, not {type(d).__name__}")
+
+
 def required(d, key, where):
-    """d[key]; a missing key is a ValidationError that names it."""
+    """d[key]; a missing key, or a d that is not a JSON object, is a
+    ValidationError."""
+    _object(d, where)
     try:
         return d[key]
     except KeyError:
@@ -34,7 +45,21 @@ def required(d, key, where):
 
 
 def known(d, keys, where):
-    """A key of d outside keys is a ValidationError that names it."""
+    """A key of d outside keys, or a d that is not a JSON object, is a
+    ValidationError."""
+    _object(d, where)
     for key in d:
         if key not in keys:
             raise ValidationError(f"{where} has the unknown field {key!r}")
+
+
+def build(cls, fields, where):
+    """cls(**fields), with the signature of cls as the schema: a field cls
+    does not take, or a parameter without a default that fields lacks, is a
+    ValidationError that names it.  Every default lives in cls alone."""
+    params = inspect.signature(cls).parameters
+    known(fields, params, where)
+    for name, param in params.items():
+        if param.default is param.empty and name not in fields:
+            raise ValidationError(f"{where} needs the field {name!r}")
+    return cls(**fields)

@@ -121,13 +121,12 @@ class MaxMinLCDExperts(_FullFeedback):
     covering the surviving part of the estimated-depth level.  Bets come from
     the previous phase's best guess over its active set."""
 
-    def __init__(self, space, b, uniform=False, active_cap=_ACTIVE_SET_CAP):
+    def __init__(self, space, b, uniform=False):
         if b <= 0:
             raise ValidationError("b must be positive")
         super().__init__(space, b, uniform)
         if space.depth_structure is None:
             raise ValidationError("space needs a depth structure")
-        self.active_cap = int(active_cap)
         # _net_for_radius at radius 2^-j by scale j: the same in every phase
         self._nets = []
 
@@ -180,12 +179,12 @@ class MaxMinLCDExperts(_FullFeedback):
             delta = self._phase_delta(T)
             q_exponent = delta ** -self.b
             q_t = 2.0 ** q_exponent if q_exponent < 1023 else math.inf
-            quota = self.active_cap if q_t > self.active_cap else int(q_t)
+            quota = _ACTIVE_SET_CAP if q_t > _ACTIVE_SET_CAP else int(q_t)
             net_set = set(net)
             queries = net + tuple(x for x in prev_active if x not in net_set)
             phase = {"phase": i, "length": T, "start": rounds, "j": j,
                      "r": r, "delta": delta, "Q_T": q_t, "quota": quota,
-                     "quota_capped": q_t > self.active_cap,
+                     "quota_capped": q_t > _ACTIVE_SET_CAP,
                      "net_size": len(net), "net_flagged": net_flag,
                      "bet": bet, "active_in": list(prev_active)}
             self.info["phases"].append(phase)

@@ -18,13 +18,13 @@ import json
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bandits, experts, instances, spaces as sp
-from .errors import (BanditLabError, StructuralError, ValidationError, known,
-                     required)
+from .errors import (BanditLabError, StructuralError, ValidationError, build,
+                     known, required)
 
 
 # ---------------------------------------------------------------------------
@@ -117,12 +117,12 @@ _ALGORITHM_FIELDS = {
     "ucb1": ("arms",), "well_ordered_bandit": ("f",), "cb_bandit": ("f",),
     "phased_ucb1": (), "completion_adapter": ("inner", "rounding"),
     "double_feedback_expert": (), "naive_experts": ("b", "uniform"),
-    "maxminlcd_experts": ("b", "uniform", "active_cap"),
+    "maxminlcd_experts": ("b", "uniform"),
 }
 
 
 def build_algorithm(descriptor, space, rng):
-    name = descriptor.get("name")
+    name = required(descriptor, "name", "algorithm")
     if not isinstance(name, str) or name not in _ALGORITHM_FIELDS:
         raise ValidationError(f"unknown algorithm {name!r}")
     params = {k: v for k, v in descriptor.items() if k != "name"}
@@ -161,8 +161,7 @@ def build_algorithm(descriptor, space, rng):
             uniform=params.get("uniform", False))
     return experts.MaxMinLCDExperts(
         space, required(params, "b", where),
-        uniform=params.get("uniform", False),
-        active_cap=params.get("active_cap", 4096))
+        uniform=params.get("uniform", False))
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +283,7 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(d):
-        known(d, [f.name for f in fields(ExperimentConfig)], "config")
-        return ExperimentConfig(
-            *(required(d, key, "config")
-              for key in ("space", "instance", "algorithm", "horizon")),
-            seed=d.get("seed", 0), mode=d.get("mode"),
-            record_actions=d.get("record_actions", False))
+        return build(ExperimentConfig, d, "config")
 
 
 def _materialize(config, seed):
@@ -497,12 +491,7 @@ def load_json(path):
 
 
 def import_json(path):
-    payload = load_json(path)
-    if not isinstance(payload, dict):
-        raise ValidationError("a trace file must hold a JSON object")
-    traces = required(payload, "traces", "trace file")
-    if not (isinstance(traces, list)
-            and all(isinstance(d, dict) for d in traces)):
-        raise ValidationError(
-            "trace file field 'traces' must be a list of objects")
+    traces = required(load_json(path), "traces", "trace file")
+    if not isinstance(traces, list):
+        raise ValidationError("trace file field 'traces' must be a list")
     return [RegretTrace.from_payload(d) for d in traces]

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces as sp
-from .errors import InvalidScheduleError, ValidationError, required
+from .errors import InvalidScheduleError, ValidationError, build, required
 
 
 def needle_eval(node, x, space):
@@ -504,9 +504,8 @@ class MaxMinLCDInstance(_SignMixture):
 
     kind = "maxminlcd"
 
-    def __init__(self, space, b=0.5, depth_cap=3, seed=0, n_list=None):
-        if space is None:
-            space = sp.IntervalSpace()
+    def __init__(self, space=None, b=0.5, depth_cap=3, seed=0, n_list=None):
+        space = space if space is not None else sp.IntervalSpace()
         super().__init__(space)
         if space.kind != "interval":
             raise ValidationError("recursive ball placement needs the interval")
@@ -582,56 +581,46 @@ def _encode_point(p):
     return p
 
 
-def _decode_point(space, p):
+def _decode_point(p):
     if isinstance(p, list):
         return tuple(p)
     return p
 
 
-_KINDS = ("peak", "constant", "arms", "lineage", "logt", "noncompact",
-          "maxminlcd")
+_KINDS = {cls.kind: cls for cls in (
+    PeakInstance, ConstantInstance, ArmsInstance, LineageInstance,
+    LogTEnsembleInstance, NoncompactInstance, MaxMinLCDInstance)}
 
 
 def instance_from_descriptor(d):
-    kind = d.get("kind")
-    if kind not in _KINDS:
+    """The instance a descriptor() describes: its constructor's signature is
+    the schema, read with these renames.  `space` is a space descriptor
+    (noncompact and maxminlcd take the unit interval without one).  The
+    points `peak`, `x_star`, `seq` and `centers` are tuples where JSON has
+    lists.  Lineage's `tree_depth` builds the ball tree `tree`.  On
+    noncompact, `guarantee_breaking` false drops `sizes`, which then follow
+    from `t_schedule`; maxminlcd accepts the flag and drops it."""
+    kind = required(d, "kind", "instance")
+    if not isinstance(kind, str) or kind not in _KINDS:
         raise ValidationError(f"unknown instance kind {kind!r}")
-
-    def need(key):
-        return required(d, key, f"instance {kind!r}")
-
-    # noncompact and maxminlcd instances default to the unit interval
-    space = (sp.space_from_descriptor(need("space"))
-             if "space" in d or kind not in ("noncompact", "maxminlcd")
-             else None)
-    if kind == "peak":
-        return PeakInstance(space, _decode_point(space, need("peak")),
-                            need("slope"), c=d.get("c", 0.9),
-                            noise=d.get("noise", "bernoulli"))
-    if kind == "constant":
-        return ConstantInstance(space, d.get("c", 0.5),
-                                noise=d.get("noise", "bernoulli"))
-    if kind == "arms":
-        return ArmsInstance(space, need("means"),
-                            noise=d.get("noise", "bernoulli"))
+    where = f"instance {kind!r}"
+    fields = {k: v for k, v in d.items() if k != "kind"}
+    if "space" in fields:
+        fields["space"] = sp.space_from_descriptor(fields["space"])
+    for key in ("peak", "x_star"):
+        if key in fields:
+            fields[key] = _decode_point(fields[key])
+    for key in ("seq", "centers"):
+        if key in fields:
+            fields[key] = [_decode_point(p) for p in fields[key]]
     if kind == "lineage":
-        tree = sp.build_ball_tree(space, need("tree_depth"))
-        return LineageInstance(space, tree, gamma=d.get("gamma", 0.3),
-                               depth_cap=d.get("depth_cap"),
-                               seed=d.get("seed", 0),
-                               biases=d.get("biases"),
-                               lineage=d.get("lineage", "seeded"))
-    if kind == "logt":
-        return LogTEnsembleInstance(
-            space, [_decode_point(space, p) for p in need("seq")], need("i"),
-            x_star=_decode_point(space, d.get("x_star")),
-            noise=d.get("noise", "bernoulli"))
-    if kind == "noncompact":
-        breaking = d.get("guarantee_breaking", True)
-        return NoncompactInstance(
-            [_decode_point(space, p) for p in need("centers")], need("r"),
-            t_schedule=d.get("t_schedule"), seed=d.get("seed", 0), space=space,
-            sizes=d.get("sizes") if breaking else None)
-    return MaxMinLCDInstance(space, b=d.get("b", 0.5),
-                             depth_cap=d.get("depth_cap", 3),
-                             seed=d.get("seed", 0), n_list=d.get("n_list"))
+        if "tree" in fields:
+            raise ValidationError(f"{where} has the unknown field 'tree'")
+        fields["tree"] = sp.build_ball_tree(
+            required(fields, "space", where),
+            required(fields, "tree_depth", where))
+        del fields["tree_depth"]
+    if kind in ("noncompact", "maxminlcd"):
+        if not fields.pop("guarantee_breaking", True) and kind == "noncompact":
+            fields.pop("sizes", None)
+    return build(_KINDS[kind], fields, where)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -20,6 +20,7 @@ from .errors import (
     StructuralError,
     UnsupportedCapabilityError,
     ValidationError,
+    build,
     required,
 )
 
@@ -118,11 +119,7 @@ class DepthLevel:
 
     @staticmethod
     def from_descriptor(d):
-        return DepthLevel(
-            required(d, "kind", "depth level"),
-            points=d.get("points"),
-            bounds=d.get("bounds"),
-        )
+        return build(DepthLevel, d, "depth level")
 
 
 @dataclass
@@ -209,7 +206,8 @@ class MetricSpace:
 def _attach_depth(space, depth_chain, dimension):
     if depth_chain is not None:
         space.depth_structure = DepthStructure(
-            [DepthLevel.from_descriptor(d) if isinstance(d, dict) else d for d in depth_chain],
+            [d if isinstance(d, DepthLevel) else DepthLevel.from_descriptor(d)
+             for d in depth_chain],
             dimension=dimension,
         )
     return space
@@ -602,12 +600,6 @@ class TreeSpace(MetricSpace):
 # oracle front-ends
 
 
-def distance(space, p, q):
-    space.validate_point(p)
-    space.validate_point(q)
-    return space.distance(p, q)
-
-
 def covering_oracle(space, k):
     if k < 1:
         raise ValidationError("covering budget must be >= 1")
@@ -839,35 +831,19 @@ def ball_tree_violations(tree, space):
 # ---------------------------------------------------------------------------
 # descriptors
 
+_KINDS = {cls.kind: cls for cls in (
+    IntervalSpace, FiniteSpace, ConvergentSpace, ConvergentUnionSpace,
+    NestedConvergentSpace, TreeSpace)}
+
+
 def space_from_descriptor(d):
-    kind = d.get("kind")
-    if kind == "interval":
-        return IntervalSpace(
-            resolution=d.get("resolution", 2.0 ** -20),
-            scan_resolution=d.get("scan_resolution", 2.0 ** -10),
-            well_order=d.get("well_order"),
-            depth_chain=d.get("depth_chain"),
-            depth_dimension=d.get("depth_dimension", 1.0),
-        )
-    if kind == "finite":
-        return FiniteSpace(
-            required(d, "coords", "finite space"),
-            depth_chain=d.get("depth_chain"),
-            depth_dimension=d.get("depth_dimension", 0.0),
-        )
-    if kind == "convergent":
-        return ConvergentSpace(d.get("n_max", 100))
-    if kind == "convergent_union":
-        return ConvergentUnionSpace(
-            required(d, "branches", "convergent_union space"))
-    if kind == "nested_convergent":
-        return NestedConvergentSpace(d.get("m_max", 10), d.get("n_max", 10))
+    """The space a descriptor() describes: its constructor's signature is the
+    schema.  A tree's `branch_capped`, derived from `b` and `branch_cap`, is
+    accepted and dropped."""
+    kind = required(d, "kind", "space")
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise ValidationError(f"unknown space kind {kind!r}")
+    fields = {k: v for k, v in d.items() if k != "kind"}
     if kind == "tree":
-        return TreeSpace(
-            eps=d.get("eps", 0.5),
-            depth=d.get("depth", 8),
-            branching=d.get("branching"),
-            b=d.get("b"),
-            branch_cap=d.get("branch_cap", _BRANCH_CAP_DEFAULT),
-        )
-    raise ValidationError(f"unknown space kind {kind!r}")
+        fields.pop("branch_capped", None)
+    return build(_KINDS[kind], fields, f"{kind} space")

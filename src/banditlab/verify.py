@@ -8,12 +8,11 @@ by coordinate, never through general measure theory.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import instances as inst_mod
-from . import spaces as sp
 from .errors import StructuralError, ValidationError
 
 _SUM_TOL = 1e-12

@@ -196,7 +196,8 @@ def test_fit_malformed_trace_file_exits_1(tmp_path, capsys, payload, message):
     ("not json", "not valid JSON"),
     ("[1,2]", "JSON object"),
     ('{"traces": {"a": 1}}', "'traces'"),
-], ids=["not-json", "top-level-list", "traces-dict"])
+    ('{"traces": [1]}', "JSON object"),
+], ids=["not-json", "top-level-list", "traces-dict", "trace-number"])
 def test_fit_trace_file_of_wrong_shape_exits_1(tmp_path, capsys, text,
                                                message):
     path = tmp_path / "traces.json"
@@ -272,3 +273,33 @@ def test_simulate_algorithm_unknown_field_exits_1(tmp_path, capsys,
         "algorithm": algorithm, "horizon": 8, "seed": 0})
     assert cli.main(["simulate", config]) == 1
     assert f"{field!r}" in capsys.readouterr().err
+
+
+_FINITE = {"kind": "finite", "coords": [0.0, 1.0]}
+_ARMS = {"kind": "arms", "space": _FINITE, "means": [0.3, 0.7]}
+_LEVELS = [{"kind": "all"}, {"kind": "points", "points": [1.0], "colour": 1}]
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"space": dict(_FINITE, colour=1), "instance": _ARMS}, "'colour'"),
+    ({"space": _FINITE, "instance": dict(_ARMS, colour=1)}, "'colour'"),
+    ({"space": dict(_FINITE, depth_chain=_LEVELS),
+      "instance": dict(_ARMS, space=dict(_FINITE, depth_chain=_LEVELS))},
+     "'colour'"),
+    ({"space": _FINITE, "instance": _ARMS, "algorithm": "ucb1"},
+     "JSON object"),
+    ({"space": _FINITE, "instance": "arms"}, "JSON object"),
+    ({"space": "finite", "instance": _ARMS}, "JSON object"),
+    ({"space": _FINITE, "instance": _ARMS,
+      "algorithm": {"name": "completion_adapter", "inner": "ucb1"}},
+     "JSON object"),
+    ([1], "JSON object"),
+], ids=["space-field", "instance-field", "depth-level-field",
+        "algorithm-string", "instance-string", "space-string",
+        "inner-string", "config-list"])
+def test_simulate_malformed_descriptor_exits_1(tmp_path, capsys, config,
+                                               message):
+    if isinstance(config, dict):
+        config = dict({"algorithm": _UCB1, "horizon": 8, "seed": 0}, **config)
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
+    assert message in capsys.readouterr().err

@@ -1,0 +1,133 @@
+"""Descriptor decoding against the constructors it builds.
+
+A descriptor with only the fields a kind needs must decode to what the
+constructor gives with its own defaults, so no default can drift between
+the two.  A field no constructor takes is an error, never ignored.
+"""
+
+import pytest
+
+import banditlab.instances as inst
+import banditlab.spaces as sps
+from banditlab.errors import ValidationError
+from banditlab.harness import ExperimentConfig
+
+_SEQ = [0.5 + 3.0 ** -k for k in range(1, 4)]
+_CENTERS = [0.1, 0.3, 0.5, 0.7]
+
+# kind -> (minimal descriptor, the constructor called with the same fields)
+_MINIMAL_SPACES = {
+    "interval": ({"kind": "interval"}, lambda: sps.IntervalSpace()),
+    "finite": ({"kind": "finite", "coords": [0.0, 1.0]},
+               lambda: sps.FiniteSpace([0.0, 1.0])),
+    "convergent": ({"kind": "convergent"}, lambda: sps.ConvergentSpace()),
+    "convergent_union": (
+        {"kind": "convergent_union", "branches": [[0.0, 1, 3]]},
+        lambda: sps.ConvergentUnionSpace([(0.0, 1, 3)])),
+    "nested_convergent": ({"kind": "nested_convergent"},
+                          lambda: sps.NestedConvergentSpace()),
+    "tree": ({"kind": "tree"}, lambda: sps.TreeSpace()),
+}
+
+_INTERVAL = {"kind": "interval"}
+_FINITE = {"kind": "finite", "coords": [0.0, 1.0]}
+
+_MINIMAL_INSTANCES = {
+    "peak": ({"kind": "peak", "space": _INTERVAL, "peak": 0.5, "slope": 0.5},
+             lambda: inst.PeakInstance(sps.IntervalSpace(), 0.5, 0.5)),
+    "constant": ({"kind": "constant", "space": _INTERVAL},
+                 lambda: inst.ConstantInstance(sps.IntervalSpace())),
+    "arms": ({"kind": "arms", "space": _FINITE, "means": [0.3, 0.7]},
+             lambda: inst.ArmsInstance(sps.FiniteSpace([0.0, 1.0]),
+                                       [0.3, 0.7])),
+    "lineage": (
+        {"kind": "lineage", "space": _INTERVAL, "tree_depth": 2},
+        lambda: inst.LineageInstance(
+            sps.IntervalSpace(),
+            sps.build_ball_tree(sps.IntervalSpace(), 2))),
+    # the last sequence point is x* when x_star is absent
+    "logt": ({"kind": "logt", "space": _INTERVAL, "seq": _SEQ + [0.5],
+              "i": 1},
+             lambda: inst.LogTEnsembleInstance(sps.IntervalSpace(),
+                                               _SEQ + [0.5], 1)),
+    # without space, noncompact and maxminlcd use the unit interval; a
+    # noncompact instance needs its block sizes from t_schedule or sizes
+    "noncompact": (
+        {"kind": "noncompact", "centers": _CENTERS, "r": 0.05,
+         "t_schedule": [1]},
+        lambda: inst.NoncompactInstance(_CENTERS, 0.05, t_schedule=[1])),
+    "maxminlcd": ({"kind": "maxminlcd"},
+                  lambda: inst.MaxMinLCDInstance(sps.IntervalSpace())),
+}
+
+_MINIMAL_DEPTH_LEVELS = {
+    "all": ({"kind": "all"}, lambda: sps.DepthLevel("all")),
+    "points": ({"kind": "points", "points": [0.25]},
+               lambda: sps.DepthLevel("points", points=[0.25])),
+    "interval": ({"kind": "interval", "bounds": [0.25, 0.75]},
+                 lambda: sps.DepthLevel("interval", bounds=[0.25, 0.75])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_MINIMAL_SPACES))
+def test_minimal_space_descriptor_takes_constructor_defaults(kind):
+    d, build = _MINIMAL_SPACES[kind]
+    assert sps.space_from_descriptor(d).descriptor() == build().descriptor()
+
+
+@pytest.mark.parametrize("kind", sorted(_MINIMAL_INSTANCES))
+def test_minimal_instance_descriptor_takes_constructor_defaults(kind):
+    d, build = _MINIMAL_INSTANCES[kind]
+    assert (inst.instance_from_descriptor(d).descriptor()
+            == build().descriptor())
+
+
+@pytest.mark.parametrize("kind", sorted(_MINIMAL_DEPTH_LEVELS))
+def test_minimal_depth_level_descriptor_takes_constructor_defaults(kind):
+    d, build = _MINIMAL_DEPTH_LEVELS[kind]
+    assert (sps.DepthLevel.from_descriptor(d).descriptor()
+            == build().descriptor())
+
+
+def test_every_kind_has_a_minimal_descriptor():
+    assert set(_MINIMAL_SPACES) == set(sps._KINDS)
+    assert set(_MINIMAL_INSTANCES) == set(inst._KINDS)
+
+
+def _decoders():
+    """(decoder, full descriptor) for every kind and for a config."""
+    for what, decode, table in (
+            ("space", sps.space_from_descriptor, _MINIMAL_SPACES),
+            ("instance", inst.instance_from_descriptor, _MINIMAL_INSTANCES),
+            ("level", sps.DepthLevel.from_descriptor, _MINIMAL_DEPTH_LEVELS)):
+        for kind, (_d, build) in table.items():
+            yield pytest.param(decode, build().descriptor(),
+                               id=f"{what}-{kind}")
+    yield pytest.param(ExperimentConfig.from_dict, {
+        "space": _INTERVAL, "instance": {"kind": "constant"},
+        "algorithm": {"name": "phased_ucb1"}, "horizon": 8}, id="config")
+
+
+@pytest.mark.parametrize("decode, d", _decoders())
+def test_unknown_field_is_rejected(decode, d):
+    decode(d)
+    with pytest.raises(ValidationError, match="'colour'"):
+        decode(dict(d, colour="blue"))
+
+
+# a key one kind's decoder reads is unknown to the others
+@pytest.mark.parametrize("decode, d, key", [
+    (inst.instance_from_descriptor,
+     dict(_MINIMAL_INSTANCES["lineage"][0], tree=2), "tree"),
+    (inst.instance_from_descriptor,
+     dict(_MINIMAL_INSTANCES["peak"][0], guarantee_breaking=True),
+     "guarantee_breaking"),
+    (sps.space_from_descriptor, dict(_INTERVAL, branch_capped=False),
+     "branch_capped"),
+    (sps.space_from_descriptor, dict(_INTERVAL, resolutoin=1e-9),
+     "resolutoin"),
+], ids=["lineage-tree", "peak-guarantee_breaking", "interval-branch_capped",
+        "interval-misspelt"])
+def test_special_case_key_is_unknown_elsewhere(decode, d, key):
+    with pytest.raises(ValidationError, match=f"'{key}'"):
+        decode(d)
