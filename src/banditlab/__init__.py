@@ -39,7 +39,6 @@ from .instances import (
     monte_carlo_mean,
     ArmsInstance,
     ConstantInstance,
-    FunctionSample,
     LineageInstance,
     LogTEnsembleInstance,
     MaxMinLCDInstance,

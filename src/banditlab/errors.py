@@ -56,10 +56,15 @@ def known(d, keys, where):
 def build(cls, fields, where):
     """cls(**fields), with the signature of cls as the schema: a field cls
     does not take, or a parameter without a default that fields lacks, is a
-    ValidationError that names it.  Every default lives in cls alone."""
+    ValidationError that names it, and so is a value of the wrong type or
+    form that cls fails on with TypeError or ValueError.  Every default
+    lives in cls alone."""
     params = inspect.signature(cls).parameters
     known(fields, params, where)
     for name, param in params.items():
         if param.default is param.empty and name not in fields:
             raise ValidationError(f"{where} needs the field {name!r}")
-    return cls(**fields)
+    try:
+        return cls(**fields)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where}: {exc}") from None

@@ -183,23 +183,12 @@ class _RoundSampler:
         mixtures, otherwise ("mean", mean vector, None)."""
         if not self.instance.uniformly_lipschitz:
             return "mean", self.instance.mean_vector(points), None
-        keys = {}
-        rows = []
-        biases = []
-        for p in points:
-            row = []
-            for key, value, bias in self.instance.active_terms(p):
-                if key not in keys:
-                    keys[key] = len(keys)
-                    biases.append(bias)
-                row.append((keys[key], value))
-            rows.append(row)
-        matrix = np.zeros((len(points), len(keys)))
-        for i, row in enumerate(rows):
-            for j, value in row:
-                matrix[i, j] = value
-        return ("signs", matrix,
-                (1.0 + np.array(biases)) / 2.0 if keys else None)
+        bias, index, value = self.instance.term_table(points)
+        matrix = np.zeros((len(points), len(bias) + 1))
+        np.put_along_axis(matrix, index, value, axis=1)
+        # the gemv reads a C-contiguous matrix without the padding's column
+        return ("signs", matrix[:, :-1].copy(),
+                (1.0 + bias) / 2.0 if len(bias) else None)
 
     def _block(self, tag, a, b, c):
         """Feedback of c rounds, one row per round, in a new array."""
@@ -329,12 +318,12 @@ def run_match(config, seed=None):
     choose, observe, mean = session.choose, session.observe, instance.mean
     try:
         t = 0
-        last = None
+        mus = {}  # bet -> its mean, computed once per match
         while t < horizon:
             action = choose()
-            if action is not last:
-                # UCB1 yields the same Action object for every pull of an arm
-                last, mu = action, mean(action.bet)
+            mu = mus.get(action.bet)
+            if mu is None:
+                mu = mus[action.bet] = mean(action.bet)
             n = action.rounds
             if n > horizon - t:
                 n = horizon - t

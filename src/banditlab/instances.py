@@ -7,9 +7,9 @@ Every instance exposes an analytic expected payoff `mean(x)`, its supremum
 mixtures (lineage, noncompact, maxminlcd) compile their terms once, at
 construction, into a forest of `_Term`s: signed, plateaued bumps on nested
 balls whose siblings are disjoint, each with its key and sign bias.  One
-walk down that forest gives the terms active at a point.  A sign mixture is
-sampled one round at a time by a `FunctionSample`, which draws each sign on
-first use and keeps it for the rest of the round.
+walk down that forest gives the terms active at a point; `active_terms`
+keeps each point's walk, and `term_table` compiles a point list into arrays
+that sample a round of all of them at once.
 """
 
 from __future__ import annotations
@@ -35,44 +35,19 @@ def needle_eval(node, x, space):
 
 
 # ---------------------------------------------------------------------------
-# round samples
-
-
-class FunctionSample:
-    """One round of a sign-mixture instance.  Signs are drawn on first use
-    and cached by term key, so evaluations within the round are coherent."""
-
-    def __init__(self, instance, rng):
-        self._instance = instance
-        self._rng = rng
-        self._signs = {}
-
-    def evaluate(self, x):
-        total = 0.5
-        for key, value, bias in self._instance.active_terms(x):
-            if bias >= 1.0:
-                sign = 1.0
-            else:
-                sign = self._signs.get(key)
-                if sign is None:
-                    p_plus = (1.0 + bias) / 2.0
-                    sign = 1.0 if self._rng.random() < p_plus else -1.0
-                    self._signs[key] = sign
-            total += sign * value
-        return total
-
-
-# ---------------------------------------------------------------------------
 # base class
 
 
 class PayoffInstance:
     kind = "abstract"
     uniformly_lipschitz = False
-    noise = "bernoulli"
 
-    def __init__(self, space):
+    def __init__(self, space, noise="bernoulli"):
+        if noise not in ("bernoulli", "none"):
+            raise ValidationError(
+                f"noise must be 'bernoulli' or 'none', not {noise!r}")
         self.space = space
+        self.noise = noise
         self.metadata = {}
 
     def mean(self, x):
@@ -89,7 +64,12 @@ class PayoffInstance:
         """Reward for a single pull: the sampled function value for sign
         mixtures, otherwise a Bernoulli draw of the mean."""
         if self.uniformly_lipschitz:
-            return FunctionSample(self, rng).evaluate(x)
+            total = 0.5
+            for _key, value, bias in self.active_terms(x):
+                if bias < 1.0 and not rng.random() < (1.0 + bias) / 2.0:
+                    value = -value
+                total += value
+            return total
         if self.noise == "none":
             return self.mean(x)
         return 1.0 if rng.random() < self.mean(x) else 0.0
@@ -116,9 +96,14 @@ class _SignMixture(PayoffInstance):
     """Payoff 1/2 + sum of sign_key * value over the terms active at x.
     Each subclass compiles its terms at construction into the forest
     `self.roots`; siblings must be disjoint, so x lies in at most one ball
-    per level and the active terms form one chain from a root down."""
+    per level and the active terms form one chain from a root down, of at
+    most `depth_cap` terms."""
 
     uniformly_lipschitz = True
+
+    def __init__(self, space):
+        super().__init__(space)
+        self._terms = {}  # point -> its active_terms triples
 
     def _chain(self, x):
         """(term, value) for each term whose ball contains x, root first."""
@@ -140,9 +125,33 @@ class _SignMixture(PayoffInstance):
 
     def active_terms(self, x):
         """(key, value, bias) triples with payoff 1/2 + sum sign_key * value,
-        sign_key in {-1, +1} with expectation bias."""
-        for term, value in self._chain(x):
-            yield term.key, value, term.bias
+        sign_key in {-1, +1} with expectation bias.  Each point is walked
+        once per instance; a walk that raises is not kept."""
+        terms = self._terms.get(x)
+        if terms is None:
+            terms = self._terms[x] = tuple(
+                (term.key, value, term.bias) for term, value in self._chain(x))
+        yield from terms
+
+    def term_table(self, points):
+        """(bias, index, value) compiled from the points' walks.  bias[k] is
+        the sign bias of the k-th key in first-use order (points in order,
+        terms root first); row i of the (points x depth_cap) arrays index and
+        value lists point i's terms in walk order, padded with index -1 and
+        value 0.0.  `table_round` samples one round of it."""
+        keys = {}
+        bias = []
+        index = np.full((len(points), self.depth_cap), -1, dtype=np.intp)
+        value = np.zeros((len(points), self.depth_cap))
+        for i, x in enumerate(points):
+            for j, (term, v) in enumerate(self._chain(x)):
+                k = keys.get(term.key)
+                if k is None:
+                    k = keys[term.key] = len(bias)
+                    bias.append(term.bias)
+                index[i, j] = k
+                value[i, j] = v
+        return np.array(bias, dtype=float), index, value
 
     def mean(self, x):
         total = 0.5
@@ -150,6 +159,23 @@ class _SignMixture(PayoffInstance):
             if term.bias:
                 total += term.bias * value
         return total
+
+
+def table_round(table, rng):
+    """The values at a term table's points in one round: the signs of the
+    keys with bias below 1 come from one draw in key order, and each point
+    adds its terms to 1/2 in walk order, position by position.  The padding's
+    index -1 reads a +1 sign."""
+    bias, index, value = table
+    drawn = bias < 1.0
+    signs = np.ones(len(bias) + 1)
+    signs[:-1][drawn] = np.where(
+        rng.random(np.count_nonzero(drawn)) < (1.0 + bias[drawn]) / 2.0,
+        1.0, -1.0)
+    total = np.full(len(index), 0.5)
+    for j in range(index.shape[1]):
+        total += signs[index[:, j]] * value[:, j]
+    return total
 
 
 def monte_carlo_mean(instance, x, n, rng):
@@ -180,10 +206,9 @@ class PeakInstance(PayoffInstance):
     """mu(x) = c - slope * d(x, peak); unique maximizer at the peak."""
 
     kind = "peak"
-    noise = "bernoulli"
 
     def __init__(self, space, peak, slope, c=0.9, noise="bernoulli"):
-        super().__init__(space)
+        super().__init__(space, noise)
         space.validate_point(peak)
         if not 0 < slope <= 1:
             raise ValidationError("slope must be in (0,1]")
@@ -193,7 +218,6 @@ class PeakInstance(PayoffInstance):
         if c - slope * far < -1e-12:
             raise ValidationError("payoff would go negative at the far end")
         self.peak, self.slope, self.c = peak, slope, c
-        self.noise = noise
 
     def mean(self, x):
         return self.c - self.slope * self.space.distance(x, self.peak)
@@ -212,11 +236,10 @@ class ConstantInstance(PayoffInstance):
     kind = "constant"
 
     def __init__(self, space, c=0.5, noise="bernoulli"):
-        super().__init__(space)
+        super().__init__(space, noise)
         if not 0 <= c <= 1:
             raise ValidationError("c must be in [0,1]")
         self.c = c
-        self.noise = noise
 
     def mean(self, x):
         return self.c
@@ -236,7 +259,7 @@ class ArmsInstance(PayoffInstance):
     kind = "arms"
 
     def __init__(self, space, means, noise="bernoulli"):
-        super().__init__(space)
+        super().__init__(space, noise)
         if space.kind != "finite":
             raise ValidationError("arms need a finite space")
         if len(means) != len(space.coords):
@@ -244,7 +267,6 @@ class ArmsInstance(PayoffInstance):
         if any(not 0 <= m <= 1 for m in means):
             raise ValidationError("means must lie in [0,1]")
         self.means = {p: float(m) for p, m in zip(space.coords, means)}
-        self.noise = noise
 
     def mean(self, x):
         return self.means[x]
@@ -380,7 +402,7 @@ class LogTEnsembleInstance(PayoffInstance):
     kind = "logt"
 
     def __init__(self, space, seq, i, x_star=None, noise="bernoulli"):
-        super().__init__(space)
+        super().__init__(space, noise)
         if x_star is None:
             x_star = seq[-1]
             seq = seq[:-1]
@@ -400,7 +422,6 @@ class LogTEnsembleInstance(PayoffInstance):
         if not 0 <= i <= len(self.seq):
             raise ValidationError("member index out of range")
         self.i = i
-        self.noise = noise
 
     def mean(self, x):
         mu = 0.5 - self.space.distance(x, self.x_star) / 8.0
@@ -439,6 +460,7 @@ class NoncompactInstance(_SignMixture):
     fixed +1 sign; all other wedges flip fair coins each round."""
 
     kind = "noncompact"
+    depth_cap = 1  # wedges do not nest
 
     def __init__(self, centers, r, t_schedule=None, seed=0, space=None,
                  sizes=None):

@@ -303,3 +303,36 @@ def test_simulate_malformed_descriptor_exits_1(tmp_path, capsys, config,
         config = dict({"algorithm": _UCB1, "horizon": 8, "seed": 0}, **config)
     assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
     assert message in capsys.readouterr().err
+
+
+_INTERVAL = {"kind": "interval"}
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"space": _FINITE, "instance": dict(_ARMS, noise="gauss")}, "'gauss'"),
+    ({"space": _INTERVAL, "instance": {"kind": "peak", "space": _INTERVAL,
+                                       "peak": 0.5, "slope": 1.0,
+                                       "c": 0.6, "noise": "None"}},
+     "'None'"),
+    ({"space": _INTERVAL, "instance": {"kind": "constant",
+                                       "space": _INTERVAL, "noise": 0}},
+     "noise"),
+    ({"space": _INTERVAL, "instance": {"kind": "logt", "space": _INTERVAL,
+                                       "seq": [0.9, 0.6], "x_star": 0.5,
+                                       "i": 1, "noise": "gauss"}},
+     "'gauss'"),
+    ({"space": dict(_INTERVAL, resolution="x"),
+      "instance": {"kind": "constant", "space": dict(_INTERVAL,
+                                                     resolution="x")}},
+     "interval space"),
+    ({"space": dict(_FINITE, coords=5),
+      "instance": dict(_ARMS, space=dict(_FINITE, coords=5))},
+     "finite space"),
+], ids=["arms-noise", "peak-noise", "constant-noise", "logt-noise",
+        "interval-resolution", "finite-coords"])
+def test_simulate_bad_descriptor_value_exits_1(tmp_path, capsys, config,
+                                               message):
+    config = dict({"algorithm": {"name": "phased_ucb1"}, "horizon": 8,
+                   "seed": 0}, **config)
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
+    assert message in capsys.readouterr().err

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import banditlab.harness as hn
+import banditlab.instances as inst
 import banditlab.spaces as sps
 from banditlab.errors import ValidationError
 
@@ -66,6 +67,25 @@ def test_record_actions():
     assert len(trace.actions) == 32
     assert set(trace.actions) <= {0.0, 1.0}
     assert hn.run_match(_arms_config(horizon=32)).actions is None
+
+
+def test_mean_runs_once_per_distinct_bet(monkeypatch):
+    bets = []
+    mean = inst._SignMixture.mean
+
+    def counted(self, x):
+        bets.append(x)
+        return mean(self, x)
+
+    monkeypatch.setattr(inst._SignMixture, "mean", counted)
+    space = {"kind": "interval", "resolution": 2.0 ** -40}
+    trace = hn.run_match(hn.ExperimentConfig(
+        space=space,
+        instance={"kind": "lineage", "space": space, "tree_depth": 4},
+        algorithm={"name": "phased_ucb1"}, horizon=2 ** 10,
+        record_actions=True))
+    assert len(set(trace.actions)) < 2 ** 9
+    assert sorted(bets) == sorted(set(trace.actions))
 
 
 def test_mode_mismatch_rejected():

@@ -1,0 +1,162 @@
+"""The compiled term table and the per-point term memo of sign mixtures.
+
+The reference is `FunctionSample`, the one-round sampler the table replaced:
+it draws each sign on first use, in the order the points are evaluated, and
+keeps it for the rest of the round.  A table round must give the same bits
+and leave the noise stream in the same state.
+"""
+
+import inspect
+
+import numpy as np
+import pytest
+
+import banditlab.instances as inst
+import banditlab.spaces as sps
+import banditlab.verify as vf
+from test_term_walk import _DESCRIPTORS, _balls
+
+
+class FunctionSample:
+    """One round of a sign-mixture instance.  Signs are drawn on first use
+    and cached by term key, so evaluations within the round are coherent."""
+
+    def __init__(self, instance, rng):
+        self._instance = instance
+        self._rng = rng
+        self._signs = {}
+
+    def evaluate(self, x):
+        total = 0.5
+        for key, value, bias in self._instance.active_terms(x):
+            if bias >= 1.0:
+                sign = 1.0
+            else:
+                sign = self._signs.get(key)
+                if sign is None:
+                    p_plus = (1.0 + bias) / 2.0
+                    sign = 1.0 if self._rng.random() < p_plus else -1.0
+                    self._signs[key] = sign
+            total += sign * value
+        return total
+
+
+def ref_certify(instance, pairs, rounds, rng):
+    """`verify.lipschitz_certify` with a FunctionSample per round."""
+    space = instance.space
+    pair_list = [(vf.random_point(space, rng), vf.random_point(space, rng))
+                 for _ in range(pairs)]
+    mean_viol = 0.0
+    for x, y in pair_list:
+        v = abs(instance.mean(x) - instance.mean(y)) - space.distance(x, y)
+        mean_viol = max(mean_viol, v)
+    sample_viol = 0.0
+    for _ in range(rounds):
+        sample = FunctionSample(instance, rng)
+        for x, y in pair_list:
+            v = (abs(sample.evaluate(x) - sample.evaluate(y))
+                 - space.distance(x, y))
+            sample_viol = max(sample_viol, v)
+    return vf.LipschitzCertificate(pairs, rounds, mean_viol, sample_viol)
+
+
+def _points(instance, n, seed):
+    """n random points of [0,1], then every term center, shuffled in."""
+    rng = np.random.default_rng(seed)
+    points = rng.random(n).tolist() + [c for c, _r in _balls(instance)]
+    return [points[i] for i in rng.permutation(len(points))]
+
+
+@pytest.mark.parametrize("kind", sorted(_DESCRIPTORS))
+def test_table_rounds_match_function_sample(kind):
+    instance = inst.instance_from_descriptor(_DESCRIPTORS[kind])
+    points = _points(instance, 4000, seed=7)
+    table = instance.term_table(points)
+    bias, index, value = table
+    assert index.shape == value.shape == (len(points), instance.depth_cap)
+    assert (value[index < 0] == 0.0).all()
+    if kind == "noncompact":
+        assert 0 < np.count_nonzero(bias >= 1.0) < len(bias)  # favored keys
+    rng = np.random.default_rng(11)
+    ref_rng = np.random.default_rng(11)
+    for _ in range(5):
+        sample = FunctionSample(instance, ref_rng)
+        expected = np.array([sample.evaluate(x) for x in points])
+        got = inst.table_round(table, rng)
+        assert (got.view(np.int64) == expected.view(np.int64)).all()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_table_round_without_drawn_keys_draws_nothing():
+    # the favored wedges keep a +1 sign: a round over them alone uses no
+    # uniform
+    instance = inst.instance_from_descriptor(_DESCRIPTORS["noncompact"])
+    favored = [instance.centers[i] for i in sorted(instance.favored)]
+    table = instance.term_table(favored)
+    assert (table[0] == 1.0).all()
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    got = inst.table_round(table, rng)
+    assert rng.bit_generator.state == state
+    assert got.tolist() == [instance.mean(x) for x in favored]
+
+
+class _Steep(inst._SignMixture):
+    """Three disjoint wedges whose values are tripled, so sampled rounds
+    (and the mean, on the biased ones) are 3-Lipschitz.  Biases 0, 1/2 and
+    1 cover fair, biased and fixed signs."""
+
+    kind = "steep"
+    depth_cap = 1
+    mu_star = 1.0
+
+    def __init__(self):
+        super().__init__(sps.IntervalSpace())
+        self.roots = [inst._Term(k, c, 0.15, 0.1, bias, [])
+                      for k, (c, bias) in enumerate(
+                          [(1 / 6, 0.0), (0.5, 0.5), (5 / 6, 1.0)])]
+
+    def _chain(self, x):
+        for term, value in super()._chain(x):
+            yield term, 3.0 * value
+
+
+@pytest.mark.parametrize("kind", ["steep"] + sorted(_DESCRIPTORS))
+def test_lipschitz_certify_matches_reference_loop(kind):
+    def build():
+        if kind == "steep":
+            return _Steep()
+        return inst.instance_from_descriptor(_DESCRIPTORS[kind])
+
+    rng = np.random.default_rng(3)
+    ref_rng = np.random.default_rng(3)
+    cert = vf.lipschitz_certify(build(), 500, 4, rng)
+    ref = ref_certify(build(), 500, 4, ref_rng)
+    assert cert.max_mean_violation.hex() == ref.max_mean_violation.hex()
+    assert cert.max_sample_violation.hex() == ref.max_sample_violation.hex()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    if kind == "steep":
+        assert ref.max_sample_violation > 0.1 and not cert.passed
+
+
+def test_lipschitz_certify_without_pairs():
+    cert = vf.lipschitz_certify(_Steep(), 0, 3, np.random.default_rng(0))
+    assert cert.max_sample_violation == 0.0 and cert.passed
+
+
+@pytest.mark.parametrize("kind", sorted(_DESCRIPTORS))
+def test_repeated_active_terms_match_a_fresh_walk(kind):
+    instance = inst.instance_from_descriptor(_DESCRIPTORS[kind])
+    points = _points(instance, 500, seed=2)
+    first = [list(instance.active_terms(x)) for x in points]
+    again = [list(instance.active_terms(x)) for x in points]
+    fresh = inst.instance_from_descriptor(_DESCRIPTORS[kind])
+    walked = [[(term.key, value, term.bias)
+               for term, value in fresh._chain(x)] for x in points]
+    assert repr(first) == repr(again) == repr(walked)
+
+
+def test_active_terms_is_a_generator_function():
+    # the benchmark's tracer counts generator functions instead of timing
+    # them, and a call must not walk before it is iterated
+    assert inspect.isgeneratorfunction(inst._SignMixture.active_terms)
