@@ -5,9 +5,9 @@ stream [seed, 0] and algorithm randomness from [seed, 1], so the same seed
 exposes identical noise to every algorithm.  Every session yields Actions,
 blocks of rounds, and one loop plays them with the feedback sampler of the
 session's mode.  In bandit mode `_pull_sampler` draws each pull, Bernoulli
-pulls from chunked uniforms and sign-mixture pulls one by one; in experts
-mode `_RoundSampler` samples a block in numpy with the bits and noise
-stream of the rounds it stands for.
+pulls from chunked uniforms and sign-mixture pulls one by one, and a
+one-round action's pull is its feedback; in experts mode `_RoundSampler`
+samples a block in numpy with the bits and noise stream of its rounds.
 """
 
 from __future__ import annotations
@@ -138,30 +138,28 @@ def build_algorithm(descriptor, space, rng):
         return bandits.UCB1Session(arms)
     if name in ("well_ordered_bandit", "cb_bandit"):
         sweep = bandits.ExplPrimeRun if name == "cb_bandit" else bandits.ExplRun
-        return bandits.PhasedExplSession(
-            space, params.get("f", "log_power:1"), sweep_cls=sweep)
+        f = {"f_exponent_fn": params["f"]} if "f" in params else {}
+        return build(bandits.PhasedExplSession,
+                     dict(f, space=space, sweep_cls=sweep), where)
     if name == "phased_ucb1":
         return bandits.PhasedUCB1Session(space)
     if name == "completion_adapter":
         inner = build_algorithm(required(params, "inner", where), space, rng)
-        rule = params.get("rounding", "dyadic:20")
+        rule = params.get("rounding", "dyadic")
+        kind, _, arg = str(rule).partition(":")
         if rule == "identity":
             rounding = bandits.identity_rounding
-        elif rule.startswith("dyadic"):
-            _, _, arg = rule.partition(":")
-            rounding = bandits.dyadic_rounding(int(arg) if arg else 20)
+        elif kind == "dyadic" and (not arg or arg.isdecimal()):
+            rounding = (bandits.dyadic_rounding(int(arg)) if arg
+                        else bandits.dyadic_rounding())
         else:
-            raise ValidationError(f"unknown rounding rule {rule!r}")
+            raise ValidationError(f"{where}: unknown 'rounding' {rule!r}")
         return bandits.CompletionAdapterSession(inner, rounding, rng)
     if name == "double_feedback_expert":
         return experts.DoubleFeedbackExpert(space)
-    if name == "naive_experts":
-        return experts.NaiveExperts(
-            space, required(params, "b", where),
-            uniform=params.get("uniform", False))
-    return experts.MaxMinLCDExperts(
-        space, required(params, "b", where),
-        uniform=params.get("uniform", False))
+    cls = (experts.NaiveExperts if name == "naive_experts"
+           else experts.MaxMinLCDExperts)
+    return build(cls, dict(params, space=space), where)
 
 
 # ---------------------------------------------------------------------------
@@ -297,39 +295,41 @@ def run_match(config, seed=None):
     rewards = np.empty(horizon)
     means = np.empty(horizon)
     actions = [] if config.record_actions else None
-    if session.mode == "bandit":
+    bandit = session.mode == "bandit"
+    if bandit:
         pull = _pull_sampler(instance, inst_rng, horizon)
-
-        def draw(action, mu, t, n):
-            total = 0.0
-            for s in range(t, t + n):
-                rewards[s] = reward = pull(action.bet, mu)
-                means[s] = mu
-                total += reward
-            return total
+        # a memoryview stores a Python float without a numpy scalar call
+        reward_out, mean_out = memoryview(rewards), memoryview(means)
     else:
         sampler = _RoundSampler(instance, inst_rng)
-
-        def draw(action, mu, t, n):
-            sums, rewards[t:t + n] = sampler.rewards(
-                action.queries, action.bet, n)
-            means[t:t + n] = mu
-            return sums
     choose, observe, mean = session.choose, session.observe, instance.mean
     try:
         t = 0
         mus = {}  # bet -> its mean, computed once per match
         while t < horizon:
             action = choose()
-            mu = mus.get(action.bet)
+            bet = action.bet
+            mu = mus.get(bet)
             if mu is None:
-                mu = mus[action.bet] = mean(action.bet)
+                mu = mus[bet] = mean(bet)
             n = action.rounds
             if n > horizon - t:
                 n = horizon - t
-            feedback = draw(action, mu, t, n)
+            if not bandit:
+                feedback, rewards[t:t + n] = sampler.rewards(
+                    action.queries, bet, n)
+                means[t:t + n] = mu
+            elif n == 1:
+                reward_out[t] = feedback = pull(bet, mu)
+                mean_out[t] = mu
+            else:
+                feedback = 0.0
+                for s in range(t, t + n):
+                    reward_out[s] = reward = pull(bet, mu)
+                    mean_out[s] = mu
+                    feedback += reward
             if actions is not None:
-                actions.extend([action.bet] * n)
+                actions.extend([bet] * n)
             t += n
             # a block cut by the horizon is not observed; one that ends at
             # it is, which records the session's next phase in info
@@ -459,12 +459,20 @@ def export_csv(traces, path):
 
 
 def export_json(traces, path, extra=None):
-    payload = {"traces": [tr.to_payload() for tr in traces]}
-    if extra:
-        payload.update(extra)
+    """Write json.dumps({"traces": [payload, ...], **extra}) piece by piece;
+    a hex list is joined as it stands, as a hex float needs no escaping."""
     with open(path, "w") as fh:
-        # dumps without indent runs the C encoder; dump and indent do not
-        fh.write(json.dumps(payload))
+        fh.write('{"traces": [')
+        for i, tr in enumerate(traces):
+            sep = ", {" if i else "{"
+            for key, value in tr.to_payload().items():
+                fh.write(f'{sep}"{key}": ')
+                sep = ", "
+                fh.write(('["' + '", "'.join(value) + '"]' if value else "[]")
+                         if key in ("rewards", "means") else json.dumps(value))
+            fh.write("}")
+        # the rest of the object: ', "key": value, ...}', or just '}'
+        fh.write("]" + (", " if extra else "") + json.dumps(extra or {})[1:])
 
 
 def load_json(path):

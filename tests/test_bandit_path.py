@@ -436,6 +436,8 @@ def test_trace_export_round_trips(tmp_path):
         assert payload["mu_star"] == float(mu_star).hex()
 
         hn.export_json([trace, trace], path, extra=extra)
+        assert path.read_text() == json.dumps(
+            {"traces": [payload, payload], **extra})
         if not len(trace.rewards):
             # a trace of horizon 0 exports, but it no longer imports
             with pytest.raises(ValidationError, match="'horizon'"):

@@ -294,9 +294,18 @@ _LEVELS = [{"kind": "all"}, {"kind": "points", "points": [1.0], "colour": 1}]
       "algorithm": {"name": "completion_adapter", "inner": "ucb1"}},
      "JSON object"),
     ([1], "JSON object"),
+    ({"space": _FINITE, "instance": _ARMS,
+      "algorithm": {"name": "naive_experts", "b": "x"}}, "'naive_experts'"),
+    ({"space": _FINITE, "instance": _ARMS,
+      "algorithm": {"name": "completion_adapter", "inner": _UCB1,
+                    "rounding": 7}}, "'rounding'"),
+    ({"space": _FINITE, "instance": _ARMS,
+      "algorithm": {"name": "completion_adapter", "inner": _UCB1,
+                    "rounding": "dyadic:x"}}, "'rounding'"),
 ], ids=["space-field", "instance-field", "depth-level-field",
         "algorithm-string", "instance-string", "space-string",
-        "inner-string", "config-list"])
+        "inner-string", "config-list", "experts-b-string",
+        "rounding-number", "rounding-level-string"])
 def test_simulate_malformed_descriptor_exits_1(tmp_path, capsys, config,
                                                message):
     if isinstance(config, dict):

@@ -5,6 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
+import banditlab.bandits as bd
 import banditlab.harness as hn
 import banditlab.instances as inst
 import banditlab.spaces as sps
@@ -67,6 +68,66 @@ def test_record_actions():
     assert len(trace.actions) == 32
     assert set(trace.actions) <= {0.0, 1.0}
     assert hn.run_match(_arms_config(horizon=32)).actions is None
+
+
+def _checked_actions(monkeypatch, config):
+    """The actions run_match(config) chose, after checking that choose()
+    ran once per action and observe() once per completed one, and that
+    every round records the action's bet and, bit for bit, its mean."""
+    log = []  # each action choose() returns; None for each observe()
+    choose, observe = bd.Session.choose, bd.Session.observe
+
+    def logged_choose(self):
+        log.append(choose(self))
+        return log[-1]
+
+    def logged_observe(self, feedback):
+        log.append(None)
+        observe(self, feedback)
+
+    with monkeypatch.context() as m:
+        m.setattr(bd.Session, "choose", logged_choose)
+        m.setattr(bd.Session, "observe", logged_observe)
+        trace = hn.run_match(config)
+    chosen = log[0::2]
+    assert None not in chosen and all(e is None for e in log[1::2])
+    ends = np.cumsum([a.rounds for a in chosen])
+    assert (ends[:-1] < trace.horizon).all() and ends[-1] >= trace.horizon
+    # the last action is observed only when it ends at the horizon
+    assert len(log) == 2 * len(chosen) - (ends[-1] > trace.horizon)
+    bets = [a.bet for a in chosen for _ in range(a.rounds)]
+    assert trace.actions == bets[:trace.horizon]
+    instance = inst.instance_from_descriptor(config.instance)
+    means = np.array([instance.mean(x) for x in trace.actions])
+    assert trace.means.tobytes() == means.tobytes()
+    return chosen
+
+
+def test_run_loop_contract_one_round_actions(monkeypatch):
+    config = _arms_config(horizon=300, record_actions=True)
+    assert {a.rounds for a in _checked_actions(monkeypatch, config)} == {1}
+
+
+def test_run_loop_contract_blocks(monkeypatch):
+    space = sps.IntervalSpace(well_order="coordinate").descriptor()
+
+    def config(horizon):
+        return hn.ExperimentConfig(
+            space=space,
+            instance={"kind": "peak", "space": space, "peak": 0.8,
+                      "slope": 1.0, "c": 0.9, "noise": "bernoulli"},
+            algorithm={"name": "well_ordered_bandit"}, horizon=horizon,
+            seed=2, record_actions=True)
+
+    # cut a block of several rounds inside, then end a run with it
+    start = 0
+    for a in _checked_actions(monkeypatch, config(600)):
+        if a.rounds > 2:
+            break
+        start += a.rounds
+    assert a.rounds > 2 and start + a.rounds <= 600
+    for horizon in (start + 1, start + a.rounds):
+        _checked_actions(monkeypatch, config(horizon))
 
 
 def test_mean_runs_once_per_distinct_bet(monkeypatch):
