@@ -32,10 +32,19 @@ def _cmd_simulate(args):
     return 0
 
 
+def _floats(text, option):
+    """The comma-separated numbers of an option's value."""
+    try:
+        return [float(x) for x in text.split(",")]
+    except ValueError:
+        raise ValidationError(
+            f"{option} needs comma-separated numbers, not {text!r}") from None
+
+
 def _cmd_dimension(args):
     space = spaces.space_from_descriptor(harness.load_json(args.space))
     if args.grid:
-        grid = [float(x) for x in args.grid.split(",")]
+        grid = _floats(args.grid, "--grid")
     else:
         grid = [2.0 ** -j for j in range(4, 13)]
     est = spaces.estimate_dimension(space, args.mode, grid)
@@ -175,12 +184,15 @@ def _cmd_verify(args):
 
 
 def _cmd_fit(args):
+    window = _floats(args.window, "--window")
+    if len(window) != 2:
+        raise ValidationError(
+            f"--window needs two numbers lo,hi, not {args.window!r}")
     traces = harness.import_json(args.input)
     if not traces:
         raise ValidationError("no traces in input")
-    lo, hi = (float(x) for x in args.window.split(","))
     agg = harness.aggregate_traces(traces)
-    fit = harness.fit_exponent(agg, (lo, hi))
+    fit = harness.fit_exponent(agg, window)
     print(f"slope={fit.slope:.4f} intercept={fit.intercept:.4f} "
           f"residual={fit.residual:.4f} degenerate={fit.degenerate}")
     return 0

@@ -57,8 +57,8 @@ def build(cls, fields, where):
     """cls(**fields), with the signature of cls as the schema: a field cls
     does not take, or a parameter without a default that fields lacks, is a
     ValidationError that names it, and so is a value of the wrong type or
-    form that cls fails on with TypeError or ValueError.  Every default
-    lives in cls alone."""
+    form that cls fails on with TypeError, ValueError or OverflowError (an
+    integer too large for a float).  Every default lives in cls alone."""
     params = inspect.signature(cls).parameters
     known(fields, params, where)
     for name, param in params.items():
@@ -66,5 +66,5 @@ def build(cls, fields, where):
             raise ValidationError(f"{where} needs the field {name!r}")
     try:
         return cls(**fields)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where}: {exc}") from None

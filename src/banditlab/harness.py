@@ -4,10 +4,12 @@ A run is fully determined by (config, seed): instance noise comes from the
 stream [seed, 0] and algorithm randomness from [seed, 1], so the same seed
 exposes identical noise to every algorithm.  Every session yields Actions,
 blocks of rounds, and one loop plays them with the feedback sampler of the
-session's mode.  In bandit mode `_pull_sampler` draws each pull, Bernoulli
-pulls from chunked uniforms and sign-mixture pulls one by one, and a
-one-round action's pull is its feedback; in experts mode `_RoundSampler`
-samples a block in numpy with the bits and noise stream of its rounds.
+session's mode.  In bandit mode `_pull_sampler` draws each pull from
+chunked uniforms: a sign-mixture pull reads its bet's terms, compiled once
+per match, and the uniforms left unread at the end are rewound.  A
+one-round action's pull is its feedback.  In experts mode `_RoundSampler`
+samples a block in numpy with the bits and noise stream of its rounds, one
+matrix-vector product per distinct sign row.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import itertools
 import json
 import math
 import numbers
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -193,12 +196,18 @@ class _RoundSampler:
         if tag == "signs":
             if b is None:
                 return np.full((c, a.shape[0]), 0.5)
-            signs = np.where(self.rng.random((c, len(b))) < b, 1.0, -1.0)
-            values = np.empty((c, a.shape[0]))
-            # one matrix-vector product per round keeps its summation order
-            for i, s in enumerate(signs):
-                values[i] = 0.5 + a @ s
-            return values
+            drawn = self.rng.random((c, len(b))) < b
+            # rounds with equal signs share one matrix-vector product, the
+            # one each round would run, so every round keeps its bits
+            packed = np.packbits(drawn, axis=1)
+            order = np.lexsort(packed.T)
+            first = np.ones(c, dtype=bool)
+            np.any(packed[order[1:]] != packed[order[:-1]], axis=1,
+                   out=first[1:])
+            group = np.empty(c, dtype=np.intp)
+            group[order] = np.cumsum(first) - 1
+            signs = np.where(drawn[order[first]], 1.0, -1.0)
+            return np.array([0.5 + a @ s for s in signs])[group]
         if self.instance.noise == "none":
             return np.tile(a, (c, 1))
         # one (c, m) draw is the stream of c draws of m; the 0/1 outcomes
@@ -225,16 +234,55 @@ class _RoundSampler:
 
 
 def _pull_sampler(instance, rng, horizon):
-    """pull(x, mu) for `horizon` pulls: Bernoulli uniforms in chunks, as
-    rng.random(c) is the stream of c single draws; sign mixtures per pull."""
+    """(pull(x, mu), rewind()) for `horizon` pulls, each pull the reward of
+    one `bandit_reward(x, rng)`.  Bernoulli uniforms come in chunks of the
+    remaining need, as rng.random(c) is the stream of c single draws.
+    Sign mixtures read theirs from chunks of `_SIGN_CHUNK`; rewind() steps
+    the generator back over the ones left unread, so the stream ends where
+    the pulls one by one leave it."""
     if instance.uniformly_lipschitz:
-        return lambda x, mu: instance.bandit_reward(x, rng)
+        return _sign_pulls(instance, rng)
     if instance.noise == "none":
-        return lambda x, mu: mu
+        return (lambda x, mu: mu), lambda: None
     uniforms = itertools.chain.from_iterable(
         rng.random(min(_CHUNK_CELLS, horizon - start)).tolist()
         for start in range(0, horizon, _CHUNK_CELLS))
-    return lambda x, mu: 1.0 if next(uniforms) < mu else 0.0
+    return (lambda x, mu: 1.0 if next(uniforms) < mu else 0.0), lambda: None
+
+
+_SIGN_CHUNK = 1024  # uniforms per sign-mixture draw; the unread are rewound
+
+
+def _sign_pulls(instance, rng):
+    rows = {}  # bet -> its (value, p or None) terms, p the chance of +1
+    chunk = iter(())
+
+    def stream():
+        nonlocal chunk
+        while True:
+            chunk = iter(rng.random(_SIGN_CHUNK).tolist())
+            yield from chunk
+
+    uniforms = stream()
+
+    def pull(x, mu):
+        row = rows.get(x)
+        if row is None:
+            row = rows[x] = tuple(
+                (value, (1.0 + bias) / 2.0 if bias < 1.0 else None)
+                for _key, value, bias in instance.active_terms(x))
+        total = 0.5
+        for value, p in row:
+            if p is not None and not next(uniforms) < p:
+                value = -value
+            total += value
+        return total
+
+    def rewind():
+        # PCG64 advances modulo 2^128
+        rng.bit_generator.advance(-operator.length_hint(chunk) % (1 << 128))
+
+    return pull, rewind
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +345,7 @@ def run_match(config, seed=None):
     actions = [] if config.record_actions else None
     bandit = session.mode == "bandit"
     if bandit:
-        pull = _pull_sampler(instance, inst_rng, horizon)
+        pull, rewind = _pull_sampler(instance, inst_rng, horizon)
         # a memoryview stores a Python float without a numpy scalar call
         reward_out, mean_out = memoryview(rewards), memoryview(means)
     else:
@@ -335,6 +383,8 @@ def run_match(config, seed=None):
             # it is, which records the session's next phase in info
             if n == action.rounds:
                 observe(feedback)
+        if bandit:
+            rewind()
     finally:
         session.close()
     return RegretTrace(

@@ -9,7 +9,7 @@ construction, into a forest of `_Term`s: signed, plateaued bumps on nested
 balls whose siblings are disjoint, each with its key and sign bias.  One
 walk down that forest gives the terms active at a point; `active_terms`
 keeps each point's walk, and `term_table` compiles a point list into arrays
-that sample a round of all of them at once.
+that give the means of all of them and sample a round of them at once.
 """
 
 from __future__ import annotations
@@ -154,10 +154,22 @@ class _SignMixture(PayoffInstance):
         return np.array(bias, dtype=float), index, value
 
     def mean(self, x):
-        total = 0.5
-        for term, value in self._chain(x):
-            if term.bias:
-                total += term.bias * value
+        return float(self.table_means(self.term_table([x]))[0])
+
+    @staticmethod
+    def _mean_term(bias, value):
+        """The terms' shares of the mean, from arrays of biases and values."""
+        return bias * value
+
+    def table_means(self, table):
+        """mean(x) at each point of a term table, its terms added to 1/2 in
+        walk order; a term of bias 0 and the padding add 0.0, which leaves
+        a positive total as it is."""
+        bias, index, value = table
+        bias = np.append(bias, 0.0)
+        total = np.full(len(index), 0.5)
+        for j in range(index.shape[1]):
+            total += self._mean_term(bias[index[:, j]], value[:, j])
         return total
 
 
@@ -565,13 +577,11 @@ class MaxMinLCDInstance(_SignMixture):
                                self._grow(c, r_child, level + 1, rng)))
         return terms
 
-    def mean(self, x):
-        # adds value / 3.0; value * (1.0 / 3.0) differs in some last bits
-        total = 0.5
-        for term, value in self._chain(x):
-            if term.bias:
-                total += value / 3.0
-        return total
+    @staticmethod
+    def _mean_term(bias, value):
+        # value / 3.0 on a Q ball, as the goldens were recorded with it;
+        # value * (1.0 / 3.0) differs in the last bit of some addends
+        return (bias != 0) * (value / 3.0)
 
     def q_chain_center(self):
         balls = self.roots

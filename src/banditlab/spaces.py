@@ -729,8 +729,10 @@ def estimate_dimension(space, mode, delta_grid):
     if mode not in ("cov", "lcd"):
         raise ValidationError("mode must be 'cov' or 'lcd'")
     grid = list(delta_grid)
-    if len(grid) < 3 or any(b >= a for a, b in zip(grid, grid[1:])):
-        raise ValidationError("need >= 3 strictly decreasing delta values")
+    if (len(grid) < 3 or not all(map(math.isfinite, grid))
+            or any(b >= a for a, b in zip(grid, grid[1:]))):
+        raise ValidationError(
+            "need >= 3 finite, strictly decreasing delta values")
     table = []
     ys = []
     for d in grid:

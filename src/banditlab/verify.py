@@ -398,23 +398,30 @@ class LipschitzCertificate:
 
 def lipschitz_certify(instance, pairs, rounds, rng):
     """Sample point pairs and rounds; record the worst violation of the
-    1-Lipschitz condition for the mean and for sampled functions.  A round
-    of a sign mixture draws its signs on first use over x1, y1, x2, y2, ...
-    and evaluates every point at once from the instance's term table."""
+    1-Lipschitz condition for the mean and for sampled functions.  A sign
+    mixture compiles x1, y1, x2, y2, ... into one term table, which gives
+    every mean; a round draws its signs on first use over the points and
+    evaluates them all at once from the table."""
     space = instance.space
     pair_list = [(random_point(space, rng), random_point(space, rng))
                  for _ in range(pairs)]
-    dists = [space.distance(x, y) for x, y in pair_list]
-    mean_viol = 0.0
-    for (x, y), d in zip(pair_list, dists):
-        v = abs(instance.mean(x) - instance.mean(y)) - d
-        mean_viol = max(mean_viol, v)
+    points = [p for pair in pair_list for p in pair]
+    dist = np.array([space.distance(x, y) for x, y in pair_list])
+    if not instance.uniformly_lipschitz:
+        return LipschitzCertificate(
+            pairs, rounds, _worst(instance.mean_vector(points), dist, 0.0),
+            0.0)
+    table = instance.term_table(points)
+    mean_viol = _worst(instance.table_means(table), dist, 0.0)
     sample_viol = 0.0
-    if instance.uniformly_lipschitz:
-        table = instance.term_table([p for pair in pair_list for p in pair])
-        dist = np.array(dists)
-        for _ in range(rounds):
-            total = inst_mod.table_round(table, rng)
-            v = np.abs(total[0::2] - total[1::2]) - dist
-            sample_viol = float(v.max(initial=sample_viol))
+    for _ in range(rounds):
+        sample_viol = _worst(inst_mod.table_round(table, rng), dist,
+                             sample_viol)
     return LipschitzCertificate(pairs, rounds, mean_viol, sample_viol)
+
+
+def _worst(values, dist, initial):
+    """The largest of initial and |values[2i] - values[2i + 1]| - dist[i]
+    over the pairs i."""
+    return float((np.abs(values[0::2] - values[1::2]) - dist).max(
+        initial=initial))

@@ -1,8 +1,9 @@
 """The bandit path from match to exported file, against the code it replaced.
 
 - UCB1: the index in Python floats against the numpy index with argmax.
-- Pulls: the chunked Bernoulli sampler of `run_match` against one
-  `bandit_reward` per pull, in rewards, means and the noise stream's state.
+- Pulls: the chunked Bernoulli and sign-mixture samplers of `run_match`
+  against one `bandit_reward` per pull, in rewards, means and the noise
+  stream's state.
 - Blocks: phased exploration with one action per sweep point and commit
   tail against the session that played one round per action, at horizons
   that cut a sweep point, a sweep or a phase.
@@ -150,6 +151,7 @@ def _assert_same_pulls(monkeypatch, config):
 _FINITE = sps.FiniteSpace([0.0, 1.0]).descriptor()
 _INTERVAL = sps.IntervalSpace().descriptor()
 _ORDERED = sps.IntervalSpace(well_order="coordinate").descriptor()
+_CENTERS = sps.FiniteSpace([0.1, 0.3, 0.5, 0.7, 0.9]).descriptor()
 
 
 def _arms(noise):
@@ -173,6 +175,13 @@ _PULL_CONFIGS = {
         "rounding": "dyadic:20"}),
     "lineage": ({"kind": "lineage", "space": _INTERVAL, "tree_depth": 3,
                  "gamma": 0.3, "seed": 0}, {"name": "phased_ucb1"}),
+    # arms at every center: the favored 0.3 and 0.7 read no uniform
+    "noncompact": ({"kind": "noncompact", "space": _CENTERS,
+                    "centers": _CENTERS["coords"], "r": 0.05,
+                    "sizes": [2, 3], "seed": 0},
+                   {"name": "ucb1", "arms": _CENTERS["coords"]}),
+    "maxminlcd": ({"kind": "maxminlcd", "space": _INTERVAL, "b": 0.5,
+                   "depth_cap": 3, "seed": 0}, {"name": "phased_ucb1"}),
 }
 
 _SMALL_CHUNK = 8
@@ -189,12 +198,32 @@ def _config(name, horizon, seed=3):
     k * _SMALL_CHUNK + d for k in (1, 2, 3) for d in (-1, 0, 1)])
 def test_chunked_pulls_match_per_pull(monkeypatch, name, horizon):
     monkeypatch.setattr(hn, "_CHUNK_CELLS", _SMALL_CHUNK)
+    monkeypatch.setattr(hn, "_SIGN_CHUNK", _SMALL_CHUNK)
     _assert_same_pulls(monkeypatch, _config(name, horizon))
 
 
 @pytest.mark.parametrize("horizon", [hn._CHUNK_CELLS, hn._CHUNK_CELLS + 1])
 def test_chunked_pulls_match_per_pull_at_chunk_bound(monkeypatch, horizon):
     _assert_same_pulls(monkeypatch, _config("ucb1-bernoulli", horizon))
+
+
+def test_sign_pulls_straddle_chunk_bound(monkeypatch):
+    """At the real chunk size, a depth-6 lineage pull whose signs come from
+    two chunks of `_SIGN_CHUNK` uniforms."""
+    space = sps.IntervalSpace(resolution=2.0 ** -40).descriptor()
+    instance_d = {"kind": "lineage", "space": space, "tree_depth": 6,
+                  "gamma": 0.3, "seed": 0}
+    config = hn.ExperimentConfig(space, instance_d, {"name": "phased_ucb1"},
+                                 200, seed=3, record_actions=True)
+    _assert_same_pulls(monkeypatch, config)
+    instance = inst.instance_from_descriptor(instance_d)
+    trace = hn.run_match(config)
+    read = list(itertools.accumulate(
+        (sum(bias < 1.0 for _key, _value, bias in instance.active_terms(x))
+         for x in trace.actions), initial=0))
+    assert read[-1] > hn._SIGN_CHUNK
+    assert any(before < hn._SIGN_CHUNK < after
+               for before, after in itertools.pairwise(read))
 
 
 # ---------------------------------------------------------------------------

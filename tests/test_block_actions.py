@@ -96,6 +96,9 @@ _GRID = st.integers(0, 1024).map(lambda i: i / 1024)
 # noncompact wedges are (c - 0.05, c + 0.05) around 0.1, 0.3, ..., 0.9
 _GAPS = st.sampled_from([0.0, 0.02, 0.2, 0.22, 0.4, 0.6, 0.61, 0.8, 1.0])
 
+# ten wedges, two of them favored: ten keys, eight of them fair coins
+_WIDE_CENTERS = [0.05 + 0.1 * i for i in range(10)]
+
 _INSTANCES = {
     "bernoulli": (inst.PeakInstance(_interval(), 0.8, 1.0, c=0.9), _GRID),
     # means with many mantissa bits: sums of them round at every addition
@@ -108,6 +111,9 @@ _INSTANCES = {
         _interval(), b=0.5, depth_cap=3, seed=0), _GRID),
     "signs_noncompact": (inst.NoncompactInstance(
         [0.1, 0.3, 0.5, 0.7, 0.9], 0.05, seed=0, sizes=[2, 3]), _GRID),
+    "signs_wide": (inst.NoncompactInstance(
+        _WIDE_CENTERS, 0.04, seed=0, sizes=[2, 8]),
+        st.sampled_from(_WIDE_CENTERS)),
     "signs_without_keys": (inst.NoncompactInstance(
         [0.1, 0.3, 0.5, 0.7, 0.9], 0.05, seed=0, sizes=[2, 3]), _GAPS),
 }
@@ -172,6 +178,33 @@ def test_consecutive_blocks_continue_the_stream():
     assert second.tobytes() == ref_second.tobytes()
     assert np.concatenate((bets_1, bets_2)).tobytes() == np.concatenate(
         (ref_bets_1, ref_bets_2)).tobytes()
+
+
+def test_wide_sign_rows_repeat_across_chunks():
+    """Ten keys pack into two bytes per round, and with eight fair coins the
+    rounds repeat rows within a chunk and across the chunk bound."""
+    instance, _ = _INSTANCES["signs_wide"]
+    queries, bet = tuple(_WIDE_CENTERS), _WIDE_CENTERS[3]
+    tag, a, b = hn._RoundSampler(instance, None)._prepare(
+        list(queries) + [bet])
+    assert tag == "signs" and len(b) == 10
+    assert np.count_nonzero(b < 1.0) == 8
+    chunk = hn._CHUNK_CELLS // max(a.shape)
+    rounds = 2 * chunk + 3
+    # the draws of the chunks, one after the other
+    rows = np.packbits(np.random.default_rng(11).random((rounds, len(b))) < b,
+                       axis=1)
+    assert rows.shape[1] == 2
+    first = {row.tobytes() for row in rows[:chunk]}
+    second = {row.tobytes() for row in rows[chunk:2 * chunk]}
+    assert len(first) < chunk and first & second
+    rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
+    sums, bet_rewards = hn._RoundSampler(instance, rng).rewards(
+        queries, bet, rounds)
+    ref_sums, ref_bets = ref_block(instance, ref_rng, queries, bet, rounds)
+    assert sums.tobytes() == ref_sums.tobytes()
+    assert bet_rewards.tobytes() == ref_bets.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -16,6 +17,17 @@ def test_verify_kl_suite(capsys):
     assert cli.main(["verify", "kl"]) == 0
     out = capsys.readouterr().out
     assert "0 violations" in out and "PASS" in out
+
+
+@pytest.mark.parametrize("suite, line", [
+    ("ensemble", "payoff gap"),
+    ("lipschitz", "maxminlcd: passed=True"),
+    ("balltree", "tree: parent_slack="),
+])
+def test_verify_suite_passes(capsys, suite, line):
+    assert cli.main(["verify", suite]) == 0
+    out = capsys.readouterr().out
+    assert line in out and out.splitlines()[-1] == "PASS"
 
 
 def test_simulate_missing_config_exits_1(capsys):
@@ -58,6 +70,32 @@ def test_dimension_command(tmp_path, capsys):
                      "--grid", "0.0625,0.03125,0.015625"]) == 0
     out = capsys.readouterr().out
     assert "estimate=1.0000" in out
+
+
+@pytest.mark.parametrize("grid", [
+    "x", "0.1,,0.01", "0.1;0.01", "nan,0.1,0.01", "inf,0.1,0.01"])
+def test_dimension_bad_grid_exits_1(tmp_path, capsys, grid):
+    space_path = _write(tmp_path, "space.json",
+                        sps.IntervalSpace().descriptor())
+    assert cli.main(["dimension", "--space", space_path,
+                     f"--grid={grid}"]) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("window", ["a,b", "4,x", "64", "1,2,3", ""])
+def test_fit_bad_window_exits_1(tmp_path, capsys, window):
+    space = sps.FiniteSpace([0.0, 1.0]).descriptor()
+    config = _write(tmp_path, "cfg.json", {
+        "space": space,
+        "instance": {"kind": "arms", "space": space, "means": [0.3, 0.7]},
+        "algorithm": {"name": "ucb1", "arms": [0.0, 1.0]},
+        "horizon": 16, "seed": 0})
+    out_path = str(tmp_path / "traces.json")
+    assert cli.main(["simulate", config, "--out", out_path]) == 0
+    capsys.readouterr()
+    assert cli.main(["fit", "--input", out_path,
+                     f"--window={window}"]) == 1
+    assert "--window" in capsys.readouterr().err
 
 
 def test_forge_writes_certified_instance(tmp_path, capsys):
@@ -297,6 +335,9 @@ _LEVELS = [{"kind": "all"}, {"kind": "points", "points": [1.0], "colour": 1}]
     ({"space": _FINITE, "instance": _ARMS,
       "algorithm": {"name": "naive_experts", "b": "x"}}, "'naive_experts'"),
     ({"space": _FINITE, "instance": _ARMS,
+      "algorithm": {"name": "naive_experts", "b": 10 ** 400}},
+     "'naive_experts'"),
+    ({"space": _FINITE, "instance": _ARMS,
       "algorithm": {"name": "completion_adapter", "inner": _UCB1,
                     "rounding": 7}}, "'rounding'"),
     ({"space": _FINITE, "instance": _ARMS,
@@ -304,7 +345,7 @@ _LEVELS = [{"kind": "all"}, {"kind": "points", "points": [1.0], "colour": 1}]
                     "rounding": "dyadic:x"}}, "'rounding'"),
 ], ids=["space-field", "instance-field", "depth-level-field",
         "algorithm-string", "instance-string", "space-string",
-        "inner-string", "config-list", "experts-b-string",
+        "inner-string", "config-list", "experts-b-string", "experts-b-huge",
         "rounding-number", "rounding-level-string"])
 def test_simulate_malformed_descriptor_exits_1(tmp_path, capsys, config,
                                                message):
@@ -345,3 +386,21 @@ def test_simulate_bad_descriptor_value_exits_1(tmp_path, capsys, config,
                    "seed": 0}, **config)
     assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
     assert message in capsys.readouterr().err
+
+
+_DECOMPOSED = sps.IntervalSpace(
+    well_order="coordinate",
+    depth_chain=[{"kind": "all"},
+                 {"kind": "points", "points": [0.8]}]).descriptor()
+
+
+@pytest.mark.parametrize("name", ["naive_experts", "maxminlcd_experts"])
+@pytest.mark.parametrize("b", [math.nan, math.inf, True])
+def test_simulate_experts_b_must_be_a_finite_number(tmp_path, capsys, name,
+                                                   b):
+    instance = {"kind": "peak", "space": _DECOMPOSED, "peak": 0.8,
+                "slope": 1.0, "c": 0.9}
+    config = {"space": _DECOMPOSED, "instance": instance,
+              "algorithm": {"name": name, "b": b}, "horizon": 8, "seed": 0}
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
+    assert "finite number" in capsys.readouterr().err

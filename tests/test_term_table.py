@@ -3,7 +3,8 @@
 The reference is `FunctionSample`, the one-round sampler the table replaced:
 it draws each sign on first use, in the order the points are evaluated, and
 keeps it for the rest of the round.  A table round must give the same bits
-and leave the noise stream in the same state.
+and leave the noise stream in the same state, and the table's means the
+bits of `mean` at every point.
 """
 
 import inspect
@@ -99,6 +100,28 @@ def test_table_round_without_drawn_keys_draws_nothing():
     got = inst.table_round(table, rng)
     assert rng.bit_generator.state == state
     assert got.tolist() == [instance.mean(x) for x in favored]
+
+
+def ref_mean(instance, x):
+    """The mean as the walk adds it: bias * value per biased term, and
+    value / 3.0 on a maxminlcd Q ball."""
+    total = 0.5
+    for term, value in instance._chain(x):
+        if term.bias:
+            total += (value / 3.0 if instance.kind == "maxminlcd"
+                      else term.bias * value)
+    return total
+
+
+@pytest.mark.parametrize("kind", sorted(_DESCRIPTORS))
+def test_table_means_match_mean(kind):
+    instance = inst.instance_from_descriptor(_DESCRIPTORS[kind])
+    points = _points(instance, 4000, seed=5)
+    got = instance.table_means(instance.term_table(points))
+    means = np.array([instance.mean(x) for x in points])
+    expected = np.array([ref_mean(instance, x) for x in points])
+    assert (got.view(np.int64) == expected.view(np.int64)).all()
+    assert (means.view(np.int64) == expected.view(np.int64)).all()
 
 
 class _Steep(inst._SignMixture):
