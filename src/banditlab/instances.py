@@ -6,10 +6,11 @@ Every instance exposes an analytic expected payoff `mean(x)`, its supremum
 `mu_star`, and `bandit_reward(x, rng)` for one pull.  The three sign
 mixtures (lineage, noncompact, maxminlcd) compile their terms once, at
 construction, into a forest of `_Term`s: signed, plateaued bumps on nested
-balls whose siblings are disjoint, each with its key and sign bias.  One
-walk down that forest gives the terms active at a point; `active_terms`
-keeps each point's walk, and `term_table` compiles a point list into arrays
-that give the means of all of them and sample a round of them at once.
+balls whose siblings are disjoint, each with its own key and sign bias.
+`term_table` compiles a point list into arrays that give the means of all
+of them and sample a round of them at once, in one walk down that forest
+that takes each term's points together.  `_chain` walks it for one point,
+and `active_terms` keeps each point's walk for the bandit pulls.
 """
 
 from __future__ import annotations
@@ -81,8 +82,9 @@ class PayoffInstance:
 @dataclass(slots=True)
 class _Term:
     """One signed bump of a sign mixture: min(radius - d(x, center), height)
-    inside B(center, radius), zero outside.  Its sign has expectation bias;
-    its children are the terms nested in its ball."""
+    inside B(center, radius), zero outside.  Its sign has expectation bias
+    and its key is its own within the instance; its children are the terms
+    nested in its ball."""
 
     key: object
     center: object
@@ -134,24 +136,43 @@ class _SignMixture(PayoffInstance):
         yield from terms
 
     def term_table(self, points):
-        """(bias, index, value) compiled from the points' walks.  bias[k] is
-        the sign bias of the k-th key in first-use order (points in order,
-        terms root first); row i of the (points x depth_cap) arrays index and
-        value lists point i's terms in walk order, padded with index -1 and
-        value 0.0.  `table_round` samples one round of it."""
-        keys = {}
-        bias = []
-        index = np.full((len(points), self.depth_cap), -1, dtype=np.intp)
-        value = np.zeros((len(points), self.depth_cap))
-        for i, x in enumerate(points):
-            for j, (term, v) in enumerate(self._chain(x)):
-                k = keys.get(term.key)
-                if k is None:
-                    k = keys[term.key] = len(bias)
-                    bias.append(term.bias)
-                index[i, j] = k
-                value[i, j] = v
-        return np.array(bias, dtype=float), index, value
+        """(bias, index, value) of the points' walks.  bias[k] is the sign
+        bias of the k-th key in first-use order (points in order, terms root
+        first); row i of the (points x depth_cap) arrays index and value
+        lists point i's terms in walk order, padded with index -1 and value
+        0.0.  `table_round` samples one round of it.  One walk down the
+        forest serves all points: each term keeps the rows of its parent's
+        that lie in its ball, and the keys, numbered in walk order, are then
+        renumbered by first row and level."""
+        xs = np.asarray(points)
+        cap = self.depth_cap
+        index = np.full((len(points), cap), -1, dtype=np.intp)
+        value = np.zeros((len(points), cap))
+        bias, first = [], []
+        stack = [(self.roots, np.arange(len(points)), 0)]
+        while stack:
+            terms, rows, level = stack.pop()
+            for term in terms:
+                d = self.space.distances(xs[rows], term.center)
+                inside = d < term.radius
+                sel = rows[inside]
+                if not len(sel):
+                    continue
+                if (index[sel, level] >= 0).any():
+                    raise ValidationError(
+                        "sibling balls overlap; construction invalid")
+                index[sel, level] = len(bias)
+                value[sel, level] = np.minimum(term.radius - d[inside],
+                                               term.height)
+                bias.append(term.bias)
+                first.append(sel[0] * cap + level)
+                stack.append((term.children, sel, level + 1))
+        order = np.argsort(first)
+        rank = np.full(len(order) + 1, -1, dtype=np.intp)
+        rank[order] = np.arange(len(order))
+        for j in range(cap):
+            index[:, j] = rank[index[:, j]]
+        return np.array(bias, dtype=float)[order], index, value
 
     def mean(self, x):
         return float(self.table_means(self.term_table([x]))[0])

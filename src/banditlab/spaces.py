@@ -159,6 +159,11 @@ class MetricSpace:
     def distance(self, p, q):
         raise NotImplementedError
 
+    def distances(self, points, center):
+        """distance(p, center) for each p of points, an array as np.asarray
+        gives for a list of points, in a float array."""
+        return np.array([self.distance(p, center) for p in points], dtype=float)
+
     def scan_points(self):
         """Finite point set used for oracle scans (the truncation itself,
         or a grid for continuous spaces)."""
@@ -242,6 +247,9 @@ class IntervalSpace(MetricSpace):
 
     def distance(self, p, q):
         return abs(p - q)
+
+    def distances(self, points, center):
+        return np.abs(points - center)
 
     def scan_points(self):
         if self._scan is None:
@@ -342,6 +350,9 @@ class _PointSetSpace(MetricSpace):
 
     def distance(self, p, q):
         return abs(p - q)
+
+    def distances(self, points, center):
+        return np.abs(points - center)
 
     def scan_points(self):
         return list(self._points)

@@ -398,15 +398,20 @@ class LipschitzCertificate:
 
 def lipschitz_certify(instance, pairs, rounds, rng):
     """Sample point pairs and rounds; record the worst violation of the
-    1-Lipschitz condition for the mean and for sampled functions.  A sign
-    mixture compiles x1, y1, x2, y2, ... into one term table, which gives
-    every mean; a round draws its signs on first use over the points and
-    evaluates them all at once from the table."""
+    1-Lipschitz condition for the mean and for sampled functions.  The
+    points x1, y1, x2, y2, ... come from `random_point`; on the interval
+    they are one rng.random(2 * pairs), the stream of its scalar draws.  A
+    sign mixture compiles them into one term table, which gives every mean;
+    a round draws its signs on first use over the points and evaluates them
+    all at once from the table."""
     space = instance.space
-    pair_list = [(random_point(space, rng), random_point(space, rng))
-                 for _ in range(pairs)]
-    points = [p for pair in pair_list for p in pair]
-    dist = np.array([space.distance(x, y) for x, y in pair_list])
+    if space.kind == "interval":
+        points = rng.random(2 * pairs)
+        dist = np.abs(points[0::2] - points[1::2])
+    else:
+        points = [random_point(space, rng) for _ in range(2 * pairs)]
+        dist = np.array([space.distance(x, y)
+                         for x, y in zip(points[0::2], points[1::2])])
     if not instance.uniformly_lipschitz:
         return LipschitzCertificate(
             pairs, rounds, _worst(instance.mean_vector(points), dist, 0.0),

@@ -165,9 +165,16 @@ def test_block_equals_rounds_across_chunks(kind, data):
 
 
 def test_consecutive_blocks_continue_the_stream():
-    """Two blocks of the same points equal one run of their rounds."""
+    """Two blocks of the same points equal one run of their rounds.  The
+    points are centers of depth-4 balls, so every column carries four terms
+    and its rounds differ."""
     instance, _ = _INSTANCES["signs_lineage"]
-    queries, bet = (0.1, 0.5, 0.9), 0.3
+    centers = {node.path: node.center
+               for node, depth in instance.tree.nodes() if depth == 4}
+    queries = (centers["0001"], centers["0110"], centers["1011"])
+    bet = centers["1100"]
+    assert all(len(list(instance.active_terms(x))) == 4
+               for x in queries + (bet,))
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
     sampler = hn._RoundSampler(instance, rng)
     first, bets_1 = sampler.rewards(queries, bet, 5)

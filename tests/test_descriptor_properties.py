@@ -153,13 +153,17 @@ def _arms(draw):
                              noise=draw(_NOISE))
 
 
+# deep enough for a four-level ball tree of binary leaf paths
+_TREE = sps.TreeSpace(eps=0.5, depth=24)
+
+
 @st.composite
 def _lineage(draw):
     tree_depth = draw(st.integers(1, 4))
     depth_cap = draw(st.integers(1, tree_depth))
     biases = draw(st.one_of(
         st.none(), st.lists(_UNIT, min_size=depth_cap, max_size=depth_cap)))
-    space = _INTERVAL
+    space = draw(st.sampled_from([_INTERVAL, _TREE]))
     return inst.LineageInstance(
         space, sps.build_ball_tree(space, tree_depth),
         gamma=draw(st.sampled_from([0.1, 0.2, 0.3, 0.4, 0.45])),
@@ -231,6 +235,8 @@ def test_instance_descriptor_round_trips(kind):
         points = instance.space.scan_points()
         if instance.space.kind == "interval":
             points = points[::64] + xs
+        elif instance.space.kind == "tree":
+            points = points[::64]
         for x in points:
             assert clone.mean(x) == instance.mean(x)
 

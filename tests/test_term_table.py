@@ -7,11 +7,14 @@ and leave the noise stream in the same state, and the table's means the
 bits of `mean` at every point.
 """
 
+import gc
+import hashlib
 import inspect
 
 import numpy as np
 import pytest
 
+import banditlab.harness as hn
 import banditlab.instances as inst
 import banditlab.spaces as sps
 import banditlab.verify as vf
@@ -61,6 +64,28 @@ def ref_certify(instance, pairs, rounds, rng):
     return vf.LipschitzCertificate(pairs, rounds, mean_viol, sample_viol)
 
 
+def ref_table(instance, points):
+    """The term table as the per-point walk `_chain` gives it: keys numbered
+    on first use, points in order and each point's terms root first."""
+    keys, bias = {}, []
+    index = np.full((len(points), instance.depth_cap), -1, dtype=np.intp)
+    value = np.zeros((len(points), instance.depth_cap))
+    for i, x in enumerate(points):
+        for j, (term, v) in enumerate(instance._chain(x)):
+            if term.key not in keys:
+                keys[term.key] = len(bias)
+                bias.append(term.bias)
+            index[i, j] = keys[term.key]
+            value[i, j] = v
+    return np.array(bias, dtype=float), index, value
+
+
+def assert_same_table(got, expected):
+    for a, b in zip(got, expected, strict=True):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape)
+        assert a.tobytes() == b.tobytes()
+
+
 def _points(instance, n, seed):
     """n random points of [0,1], then every term center, shuffled in."""
     rng = np.random.default_rng(seed)
@@ -86,6 +111,136 @@ def test_table_rounds_match_function_sample(kind):
         got = inst.table_round(table, rng)
         assert (got.view(np.int64) == expected.view(np.int64)).all()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", sorted(_DESCRIPTORS))
+def test_term_table_matches_the_point_walk(kind):
+    instance = inst.instance_from_descriptor(_DESCRIPTORS[kind])
+    points = _points(instance, 4000, seed=9)
+    for part in (points, points[:1], points[-3:], []):
+        assert_same_table(instance.term_table(part), ref_table(instance, part))
+
+
+# the hard_instances certification: its seed-0 generator, pairs and rounds
+_CERTIFY = {"seed": [0, 2], "pairs": 10000, "rounds": 10}
+
+# recorded with the per-point table loop: SHA-256 of the bytes of bias,
+# index, value and table_means, and the PCG64 state after the certification
+_CERTIFY_PINS = {
+    "lineage": (
+        "1d1e3feb5009ba2aceb926a3a88074cf7ae78a1332df64d87ceee1850c5c6e16",
+        16242745235115519158670305952971748849),
+    "maxminlcd": (
+        "6616250b1c66894a88c767bb9875fb32bcba1c2909262d329c633e5a7cc70f55",
+        121340057786529789045146019406625935125),
+    "noncompact": (
+        "7cf0649811a802d9365dac8694b785152686d6ac5312984edac93e4cb170e420",
+        330387427159019035179793523341555133501),
+}
+_CERTIFY_INC = 19681440599402660950022900364292316661
+
+
+@pytest.mark.parametrize("kind", sorted(_DESCRIPTORS))
+def test_certification_table_pinned(kind):
+    """The certification's values read 0 at every pair, so its certificate
+    cannot see a wrong table that stays 1-Lipschitz; the table is pinned
+    itself."""
+    instance = inst.instance_from_descriptor(_DESCRIPTORS[kind])
+    tables = []
+    compile_table = instance.term_table
+
+    def capture(points):
+        tables.append(compile_table(points))
+        return tables[-1]
+
+    instance.term_table = capture
+    rng = np.random.default_rng(_CERTIFY["seed"])
+    cert = vf.lipschitz_certify(instance, _CERTIFY["pairs"],
+                                _CERTIFY["rounds"], rng)
+    (table,) = tables
+    assert len(table[1]) == 2 * _CERTIFY["pairs"]
+    h = hashlib.sha256()
+    for a in (*table, instance.table_means(table)):
+        h.update(a.tobytes())
+    digest, state = _CERTIFY_PINS[kind]
+    assert h.hexdigest() == digest
+    assert rng.bit_generator.state["state"] == {"state": state,
+                                                "inc": _CERTIFY_INC}
+    assert cert.passed
+
+
+def test_term_table_leaves_no_reference_cycle():
+    """A table walk frees what it built when it returns: with the cycle
+    collector off, nothing is left for it to collect."""
+    instance = inst.instance_from_descriptor(_DESCRIPTORS["lineage"])
+    points = np.random.default_rng(0).random(20000).tolist()
+    gc.collect()
+    gc.disable()
+    try:
+        instance.term_table(points)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# a lineage on a tree space, whose points are tuples of branch symbols
+
+
+_TREE_SPACE = sps.TreeSpace(eps=0.5, depth=24)
+_TREE_LINEAGE = {"kind": "lineage", "space": _TREE_SPACE.descriptor(),
+                 "tree_depth": 4, "gamma": 0.3, "depth_cap": 4, "seed": 0,
+                 "lineage": "seeded"}
+
+
+def _tree_points(instance, n, seed):
+    """n random leaves, every ball center, and each center with one symbol
+    flipped at every level, so each ball has points inside, on and just
+    past its edge."""
+    rng = np.random.default_rng(seed)
+    points = [tuple(row) for row in rng.integers(2, size=(n, 24)).tolist()]
+    for node, depth in instance.tree.nodes():
+        if depth:
+            points.append(node.center)
+            points += [node.center[:i] + (1 - node.center[i],)
+                       + node.center[i + 1:] for i in range(24)]
+    return [points[i] for i in rng.permutation(len(points))]
+
+
+def test_tree_lineage_table_matches_the_point_walk():
+    instance = inst.instance_from_descriptor(_TREE_LINEAGE)
+    points = _tree_points(instance, 400, seed=4)
+    table = instance.term_table(points)
+    assert_same_table(table, ref_table(instance, points))
+    assert (table[1][:, -1] >= 0).any()  # some points reach depth 4
+
+
+def test_tree_lineage_certify_matches_reference_loop():
+    rng, ref_rng = np.random.default_rng(6), np.random.default_rng(6)
+    cert = vf.lipschitz_certify(inst.instance_from_descriptor(_TREE_LINEAGE),
+                                200, 3, rng)
+    ref = ref_certify(inst.instance_from_descriptor(_TREE_LINEAGE),
+                      200, 3, ref_rng)
+    assert cert.max_mean_violation.hex() == ref.max_mean_violation.hex()
+    assert cert.max_sample_violation.hex() == ref.max_sample_violation.hex()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+    assert cert.passed
+
+
+@pytest.mark.parametrize("algorithm", [{"name": "phased_ucb1"},
+                                       {"name": "naive_experts", "b": 1.0}])
+def test_tree_lineage_matches_run(algorithm, monkeypatch):
+    """A bandit and an experts match on the tree lineage, each equal to the
+    match played with the per-point table."""
+    config = hn.ExperimentConfig(space=_TREE_SPACE.descriptor(),
+                                 instance=_TREE_LINEAGE, algorithm=algorithm,
+                                 horizon=512, seed=0)
+    trace = hn.run_match(config)
+    assert len(set(trace.rewards.tolist())) > 2  # signed terms were sampled
+    monkeypatch.setattr(inst._SignMixture, "term_table", ref_table)
+    ref = hn.run_match(config)
+    assert trace.rewards.tobytes() == ref.rewards.tobytes()
+    assert trace.means.tobytes() == ref.means.tobytes()
 
 
 def test_table_round_without_drawn_keys_draws_nothing():
@@ -142,6 +297,10 @@ class _Steep(inst._SignMixture):
     def _chain(self, x):
         for term, value in super()._chain(x):
             yield term, 3.0 * value
+
+    def term_table(self, points):
+        bias, index, value = super().term_table(points)
+        return bias, index, 3.0 * value
 
 
 @pytest.mark.parametrize("kind", ["steep"] + sorted(_DESCRIPTORS))
