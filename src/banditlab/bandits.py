@@ -3,7 +3,8 @@
 All algorithms are exposed as sessions with a uniform step API:
 choose() returns the next Action, observe(feedback) consumes the result.
 An action may stand for a block of rounds in which the algorithm does not
-adapt: a sweep point pulled n times, or a commit tail.  Sessions are
+adapt: a sweep point pulled n times, a commit tail, or a stretch that UCB1
+proves it plays whatever the rewards in [0, 1].  Sessions are
 deterministic given their RNG and replayable.
 """
 
@@ -23,12 +24,14 @@ _POINT_BALL_RADIUS = 1e-15  # stands in for a closed ball of radius zero
 class Action:
     """Bet `bet` and query every point of `queries` for `rounds` rounds in a
     row.  The session is then sent the feedback of those rounds, added in
-    round order from 0.0: in bandit mode the sum of the bet's rewards, in
-    experts mode the column sums of the query feedback as a float64 array."""
+    round order: in bandit mode the bet's rewards added onto `start`, in
+    experts mode the column sums of the query feedback from 0.0 as a
+    float64 array."""
 
     bet: object
     queries: tuple = ()
     rounds: int = 1
+    start: float = 0.0
 
 
 class Session:
@@ -221,11 +224,24 @@ class PhasedExplSession(Session):
 # UCB1 and the phased boundary algorithm
 
 
+_MIN_BLOCK = 3  # a shorter block saves less than its proof costs
+
+
 def _ucb1(arms, rounds):
     """UCB1 over arms for `rounds` rounds (None: without end).  Index rule:
     mean + sqrt(2 ln t / n_j); each arm played once first; ties break to the
     lowest arm id.  Python floats beat numpy on the few arms of a net.  Each
-    arm's one-round Action is built once, so a round allocates nothing."""
+    arm's one-round Action is built once, so a round allocates nothing.
+
+    When the arm j of the last action wins round t again, the next n rounds
+    are one block if j provably wins each of them whatever its rewards: j's
+    lowest index over them, with no reward added, must beat every other
+    arm's highest, its bonus at round t + n - 1.  Rewards in [0, 1] never
+    lower a float sum, and `/`, `sqrt` and `math.log` of an int are
+    monotone, so the proof holds bit for bit.  The block is sent its rewards
+    added onto sums[j], the sum the rounds one by one would leave.  n starts
+    at twice the last block and halves until the proof holds; after failed
+    proofs the next 1, 3, 7, ... (at most 63) repeat wins try none."""
     m = len(arms)
     acts = [Action(x) for x in arms]
     counts = [0.0] * m
@@ -233,6 +249,8 @@ def _ucb1(arms, rounds):
     averages = [0.0] * m  # sums[i] / counts[i], kept up to date
     log, sqrt = math.log, math.sqrt
     played = 0
+    last, k = -1, _MIN_BLOCK  # the last action's arm; the next block tried
+    skip = wait = 0
     while rounds is None or played < rounds:
         if played < m:
             j = played
@@ -243,11 +261,34 @@ def _ucb1(arms, rounds):
                 index = averages[i] + sqrt(c / counts[i])
                 if index > best:
                     j, best = i, index
+            if j == last and skip:
+                skip -= 1
+            elif j == last:
+                n = k if rounds is None else min(k, rounds - played)
+                c_end = 2.0 * log(played + n - 1)
+                low = sums[j] / (counts[j] + (n - 1))
+                low += sqrt(c / (counts[j] + (n - 1)))
+                for i in range(m):
+                    while i != j and n >= _MIN_BLOCK and not (
+                            low > averages[i] + sqrt(c_end / counts[i])):
+                        n //= 2
+                        low = sums[j] / (counts[j] + (n - 1))
+                        low += sqrt(c / (counts[j] + (n - 1)))
+                if n >= _MIN_BLOCK:
+                    k, wait = 2 * n, 0
+                    sums[j] = yield Action(arms[j], rounds=n, start=sums[j])
+                    counts[j] += n
+                    averages[j] = sums[j] / counts[j]
+                    played += n
+                    continue
+                k = _MIN_BLOCK
+                skip = wait = min(2 * wait + 1, 63)
         reward = yield acts[j]
         counts[j] += 1
         sums[j] += reward
         averages[j] = sums[j] / counts[j]
         played += 1
+        last = j
 
 
 class UCB1Session(Session):
@@ -345,7 +386,7 @@ class CompletionAdapterSession(Session):
     choice and feeds the inner session a 0/1 re-randomization of the
     observed reward, preserving its expectation.  The rounding depends on
     the round, so an inner block is played one round at a time; the inner
-    session is sent the round-order sum of the block's bits."""
+    session is sent the block's bits added in round order onto its start."""
 
     def __init__(self, inner, dense_rounding, rng):
         super().__init__()
@@ -358,7 +399,7 @@ class CompletionAdapterSession(Session):
         rounds = 0
         while True:
             action = self.inner.choose()
-            bits = 0.0
+            bits = action.start
             for _ in range(action.rounds):
                 rounds += 1
                 reward = yield Action(self.rounding(action.bet, rounds))

@@ -4,18 +4,19 @@ A run is fully determined by (config, seed): instance noise comes from the
 stream [seed, 0] and algorithm randomness from [seed, 1], so the same seed
 exposes identical noise to every algorithm.  Every session yields Actions,
 blocks of rounds, and one loop plays them with the feedback sampler of the
-session's mode.  In bandit mode `_pull_sampler` draws each pull from
-chunked uniforms: a sign-mixture pull reads its bet's terms, compiled once
-per match, and the uniforms left unread at the end are rewound.  A
-one-round action's pull is its feedback.  In experts mode `_RoundSampler`
-samples a block in numpy with the bits and noise stream of its rounds, one
-matrix-vector product per distinct sign row.
+session's mode.  In bandit mode `_pull_sampler` draws the pulls from
+chunked uniforms, and an action's feedback is its rewards added in round
+order onto its `start`: a long Bernoulli block compares its rounds'
+uniforms with the mean in numpy, a sign-mixture pull reads its bet's terms,
+compiled once per match, and the uniforms left unread at the end are
+rewound.  In experts mode `_RoundSampler` samples a block in numpy with the
+bits and noise stream of its rounds, one matrix-vector product per
+distinct sign row.
 """
 
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import math
 import numbers
@@ -78,10 +79,20 @@ class RegretTrace:
             required(d, key, "trace") for key in (
                 "algorithm", "instance", "seed", "horizon", "mu_star",
                 "rewards", "means"))
+        for key, value in (("rewards", rewards), ("means", means)):
+            if not isinstance(value, list):
+                raise ValidationError(
+                    f"trace field {key!r} must be a list, not {value!r:.40}")
+        if not _is_int(seed):
+            raise ValidationError(
+                f"trace field 'seed' must be an int, not {seed!r}")
         try:
             mu_star = float.fromhex(mu_star)
-            rewards, means = (np.fromiter(map(float.fromhex, v), float, len(v))
-                              for v in (rewards, means))
+            # each distinct hex string is decoded once
+            rewards, means = (
+                np.fromiter(map({h: float.fromhex(h) for h in set(v)}
+                                .__getitem__, v), float, len(v))
+                for v in (rewards, means))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad hex float in trace: {exc}") from None
         if not _is_int(horizon) or horizon < 1:
@@ -233,21 +244,49 @@ class _RoundSampler:
         return sums, bet_rewards
 
 
-def _pull_sampler(instance, rng, horizon):
-    """(pull(x, mu), rewind()) for `horizon` pulls, each pull the reward of
-    one `bandit_reward(x, rng)`.  Bernoulli uniforms come in chunks of the
-    remaining need, as rng.random(c) is the stream of c single draws.
-    Sign mixtures read theirs from chunks of `_SIGN_CHUNK`; rewind() steps
-    the generator back over the ones left unread, so the stream ends where
-    the pulls one by one leave it."""
+_NUMPY_BLOCK = 32  # a bandit block this long costs less in numpy than pulled
+
+
+def _pull_sampler(instance, rng, rewards):
+    """(pull(x, mu, t), block or None, rewind()) over the rounds of
+    `rewards`; pull is the reward of one `bandit_reward(x, rng)` at round t.
+    A Bernoulli pull reads one uniform, so round t reads uniform t of chunks
+    of `_CHUNK_CELLS`, as rng.random(c) is the stream of c single draws, and
+    block(mu, t, n, start) writes rounds t..t+n-1 into `rewards` in numpy and
+    returns them added in round order onto start.  Sign mixtures pull from
+    chunks of `_SIGN_CHUNK`; rewind() steps the generator back over the ones
+    left unread, so the stream ends where the pulls one by one leave it."""
     if instance.uniformly_lipschitz:
         return _sign_pulls(instance, rng)
     if instance.noise == "none":
-        return (lambda x, mu: mu), lambda: None
-    uniforms = itertools.chain.from_iterable(
-        rng.random(min(_CHUNK_CELLS, horizon - start)).tolist()
-        for start in range(0, horizon, _CHUNK_CELLS))
-    return (lambda x, mu: 1.0 if next(uniforms) < mu else 0.0), lambda: None
+        return (lambda x, mu, t: mu), None, lambda: None
+    u = uniform = None
+    lo = hi = 0
+
+    def draw(t):
+        nonlocal u, uniform, lo, hi
+        u = rng.random(min(_CHUNK_CELLS, len(rewards) - t))
+        # a memoryview reads a Python float without a numpy scalar
+        uniform, lo, hi = memoryview(u), t, t + len(u)
+
+    def pull(x, mu, t):
+        if t >= hi:
+            draw(t)
+        return 1.0 if uniform[t - lo] < mu else 0.0
+
+    def block(mu, t, n, start):
+        s = t
+        while s < t + n:
+            if s >= hi:
+                draw(s)
+            stop = min(t + n, hi)
+            np.less(u[s - lo:stop - lo], mu, out=rewards[s:stop],
+                    casting="unsafe")
+            s = stop
+        sums = np.concatenate(([start], rewards[t:t + n]))
+        return float(np.add.accumulate(sums, out=sums)[-1])
+
+    return pull, block, lambda: None
 
 
 _SIGN_CHUNK = 1024  # uniforms per sign-mixture draw; the unread are rewound
@@ -265,7 +304,7 @@ def _sign_pulls(instance, rng):
 
     uniforms = stream()
 
-    def pull(x, mu):
+    def pull(x, mu, _t):
         row = rows.get(x)
         if row is None:
             row = rows[x] = tuple(
@@ -282,7 +321,7 @@ def _sign_pulls(instance, rng):
         # PCG64 advances modulo 2^128
         rng.bit_generator.advance(-operator.length_hint(chunk) % (1 << 128))
 
-    return pull, rewind
+    return pull, None, rewind
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +384,7 @@ def run_match(config, seed=None):
     actions = [] if config.record_actions else None
     bandit = session.mode == "bandit"
     if bandit:
-        pull, rewind = _pull_sampler(instance, inst_rng, horizon)
+        pull, block, rewind = _pull_sampler(instance, inst_rng, rewards)
         # a memoryview stores a Python float without a numpy scalar call
         reward_out, mean_out = memoryview(rewards), memoryview(means)
     else:
@@ -368,14 +407,18 @@ def run_match(config, seed=None):
                     action.queries, bet, n)
                 means[t:t + n] = mu
             elif n == 1:
-                reward_out[t] = feedback = pull(bet, mu)
+                reward_out[t] = reward = pull(bet, mu, t)
                 mean_out[t] = mu
-            else:
-                feedback = 0.0
+                feedback = action.start + reward
+            elif n < _NUMPY_BLOCK or block is None:
+                feedback = action.start
                 for s in range(t, t + n):
-                    reward_out[s] = reward = pull(bet, mu)
+                    reward_out[s] = reward = pull(bet, mu, s)
                     mean_out[s] = mu
                     feedback += reward
+            else:
+                feedback = block(mu, t, n, action.start)
+                means[t:t + n] = mu
             if actions is not None:
                 actions.extend([bet] * n)
             t += n

@@ -253,7 +253,9 @@ class PeakInstance(PayoffInstance):
         self.peak, self.slope, self.c = peak, slope, c
 
     def mean(self, x):
-        return self.c - self.slope * self.space.distance(x, self.peak)
+        mu = self.c - self.slope * self.space.distance(x, self.peak)
+        # the constructor's slack lets the far end dip below 0 by 1e-12
+        return mu if mu > 0.0 else 0.0
 
     @property
     def mu_star(self):
@@ -461,12 +463,13 @@ class LogTEnsembleInstance(PayoffInstance):
         if self.i >= 1:
             r = self.radii[self.i - 1]
             mu += 0.75 * max(0.0, r / 3.0 - self.space.distance(x, self.x_star))
-        return mu
+        # on a space wider than 4 (or with r > 2) a mean would leave [0, 1]
+        return min(1.0, max(0.0, mu))
 
     @property
     def mu_star(self):
         if self.i >= 1:
-            return 0.5 + self.radii[self.i - 1] / 4.0
+            return min(1.0, 0.5 + self.radii[self.i - 1] / 4.0)
         return 0.5
 
     def bump_ball(self):

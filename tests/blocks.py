@@ -1,8 +1,9 @@
 """The block driver the tests step sessions with.
 
 It plays a session's actions round by round, as `harness.run_match` does:
-each round's feedback comes from a callback, a block is sent the round-order
-sum of its feedback from 0.0, and only a block that ran in full is observed.
+each round's feedback comes from a callback, a block is sent its feedback
+added in round order onto the action's `start`, and only a block that ran
+in full is observed.
 """
 
 
@@ -15,7 +16,7 @@ def drive(session, rounds, feedback):
     while t < rounds:
         action = session.choose()
         n = min(action.rounds, rounds - t)
-        total = 0.0
+        total = action.start
         for s in range(t, t + n):
             total += feedback(s, action)
         bets.extend([action.bet] * n)

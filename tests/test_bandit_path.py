@@ -1,9 +1,10 @@
 """The bandit path from match to exported file, against the code it replaced.
 
-- UCB1: the index in Python floats against the numpy index with argmax.
-- Pulls: the chunked Bernoulli and sign-mixture samplers of `run_match`
-  against one `bandit_reward` per pull, in rewards, means and the noise
-  stream's state.
+- UCB1: the index in Python floats against the numpy index with argmax,
+  with its proven blocks expanded round by round.
+- Pulls: the chunked Bernoulli and sign-mixture samplers of `run_match`,
+  numpy Bernoulli blocks included, against one `bandit_reward` per pull,
+  in rewards, means and the noise stream's state.
 - Blocks: phased exploration with one action per sweep point and commit
   tail against the session that played one round per action, at horizons
   that cut a sweep point, a sweep or a phase.
@@ -53,14 +54,35 @@ def ref_ucb1(arms, rounds):
         played += 1
 
 
-def _arm_sequence(gen, reward_of):
-    """Every arm the generator plays; reward_of(t, arm) answers round t."""
-    seq = [next(gen).bet]
+def _play(gen, reward_of, horizon=math.inf):
+    """(the arm of every round, {round: (sums, counts) bits}) of up to
+    `horizon` rounds of a UCB1 generator.  reward_of(t, arm) answers round
+    t, and a block is sent its rewards added in round order onto its start;
+    a block the horizon cuts is not sent.  The state is read from the
+    suspended generator after each action it was sent."""
+    seq, states = [], {}
+    action = next(gen)
     try:
-        while True:
-            seq.append(gen.send(reward_of(len(seq) - 1, seq[-1])).bet)
+        while len(seq) < horizon:
+            n = min(action.rounds, horizon - len(seq))
+            total = action.start
+            for _ in range(n):
+                total += reward_of(len(seq), action.bet)
+                seq.append(action.bet)
+            if n < action.rounds:
+                break
+            action = gen.send(total)
+            state = gen.gi_frame.f_locals
+            states[len(seq)] = (_bits(state["sums"]).tobytes(),
+                                _bits(state["counts"]).tobytes())
     except StopIteration:
-        return seq
+        pass
+    return seq, states
+
+
+def _arm_sequence(gen, reward_of):
+    """Every arm the generator plays, a block expanded to its rounds."""
+    return _play(gen, reward_of)[0]
 
 
 _REWARD = st.one_of(
@@ -90,6 +112,85 @@ def test_ucb1_matches_numpy_index(case):
     expected = _arm_sequence(ref_ucb1(arms, rounds), reward_of)
     assert _arm_sequence(bn._ucb1(arms, rounds), reward_of) == expected
     assert len(expected) == rounds
+
+
+def _assert_blocks_match_reference(m, rounds, horizon, reward_of):
+    """The block UCB1 plays ref_ucb1's arm in every round and, after every
+    action, holds the sums and counts bits ref_ucb1 holds after as many
+    rounds; returns the block UCB1's (arms, states)."""
+    arms = list(range(m))
+    seq, states = _play(bn._ucb1(arms, rounds), reward_of, horizon)
+    ref_seq, ref_states = _play(ref_ucb1(arms, rounds), reward_of, horizon)
+    assert seq == ref_seq
+    assert len(seq) == min(horizon, rounds or math.inf)
+    assert states.items() <= ref_states.items()
+    return seq, states
+
+
+@st.composite
+def _block_case(draw):
+    """Few arms over up to 3,000 rounds, so that arms repeat and blocks
+    form: constant rewards (equal ones tie), rewards that switch per arm at
+    one round (an arm that stops paying meets its blocks' worst case), or
+    per-round rewards in [0, 1] from a seeded stream, 0/1 or fractional,
+    scaled per arm."""
+    m = draw(st.integers(1, 4))
+    rounds = draw(st.none() | st.integers(1, 3000))
+    horizon = draw(st.integers(1, 3000))
+    scale = draw(st.lists(_REWARD, min_size=m, max_size=m))
+    kind = draw(st.sampled_from(["constant", "switch", "bernoulli",
+                                 "fraction"]))
+    if kind == "constant":
+        return m, rounds, horizon, lambda t, arm: scale[arm]
+    if kind == "switch":
+        after = draw(st.lists(_REWARD, min_size=m, max_size=m))
+        switch = draw(st.integers(0, horizon))
+        return m, rounds, horizon, lambda t, arm: (
+            scale[arm] if t < switch else after[arm])
+    u = np.random.default_rng(draw(st.integers(0, 2 ** 32))).random(horizon)
+    if kind == "bernoulli":
+        return m, rounds, horizon, lambda t, arm: float(u[t] < scale[arm])
+    return m, rounds, horizon, lambda t, arm: float(u[t]) * scale[arm]
+
+
+@_SETTINGS
+@given(_block_case())
+def test_ucb1_blocks_match_per_round_index(case):
+    _assert_blocks_match_reference(*case)
+
+
+@pytest.mark.parametrize("m", [2, 3])
+@pytest.mark.parametrize("switch", [100, 500])
+def test_ucb1_blocks_when_the_leader_stops_paying(m, switch):
+    """Arm 0 pays 1 until `switch`, then nothing, and no other arm pays: its
+    blocks after the switch get the zero rewards their proofs assume, so
+    only the other arms' bonus growth over a block separates a proof from a
+    wrong block."""
+    ends = _assert_blocks_match_reference(
+        m, None, 3000, lambda t, arm: float(arm == 0 and t < switch))[1]
+    assert any(b - a > 2 for a, b in itertools.pairwise(sorted(ends))
+               if a > switch)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_ucb1_blocks_at_phase_cap_and_horizon_cut(m):
+    """Blocks end at a phase cap, and a horizon inside a block cuts it
+    unobserved; with two or more arms all tied, no arm wins twice in a row,
+    so every round is its own action."""
+    means = [0.2, 0.8, 0.5][:m]
+
+    def reward_of(t, arm):
+        return means[arm]
+
+    ends = sorted(_assert_blocks_match_reference(m, None, 3000, reward_of)[1])
+    # a round where a block of more than 2 rounds starts
+    cut = next(a for a, b in itertools.pairwise(ends) if b - a > 2) + 1
+    for rounds, horizon in ((cut, 3000), (None, cut), (cut + 1, cut)):
+        _assert_blocks_match_reference(m, rounds, horizon, reward_of)
+    if m > 1:
+        ties, ties_states = _assert_blocks_match_reference(
+            m, None, 300, lambda t, arm: 0.5)
+        assert len(ties_states) == len(ties)
 
 
 def test_ucb1_all_ties_play_lowest_arm():
@@ -357,7 +458,8 @@ def test_horizon_cuts_match_per_round_session(monkeypatch, name):
 
 
 class _FixedBlocks(bn.Session):
-    """Plays (point, rounds) blocks in a cycle and records the feedback."""
+    """Plays (point, rounds) or (point, rounds, start) blocks in a cycle and
+    records the feedback."""
 
     def __init__(self, blocks):
         super().__init__()
@@ -366,8 +468,9 @@ class _FixedBlocks(bn.Session):
 
     def _run(self):
         while True:
-            for x, n in self.blocks:
-                self.feedback.append((yield bn.Action(x, rounds=n)))
+            for x, n, *start in self.blocks:
+                self.feedback.append((yield bn.Action(
+                    x, rounds=n, start=start[0] if start else 0.0)))
 
 
 @pytest.mark.parametrize("name", ["lineage", "phased_ucb1-bernoulli",
@@ -389,6 +492,44 @@ def test_bandit_block_feedback_is_round_order_sum(monkeypatch, name):
         assert feedback.hex() == total.hex()
     # 60 rounds: two full cycles of 26 and two blocks of the third
     assert len(session.feedback) == 2 * len(blocks) + 2
+
+
+@pytest.mark.parametrize("name", ["lineage", "phased_ucb1-bernoulli",
+                                  "phased_ucb1-none"])
+def test_bandit_block_feedback_adds_onto_start(monkeypatch, name):
+    """A one-round action, a short block and blocks long enough for numpy
+    are each sent their rewards added one by one onto their start.  From
+    2^53 on, a reward of 1 added alone rounds away, but not within a sum."""
+    blocks = [(0.1, 1, 2.5), (0.55, 7, 0.1),
+              (0.9, hn._NUMPY_BLOCK + 9, 2.0 ** 53),
+              (0.3, hn._NUMPY_BLOCK, 0.7)]
+    session = _FixedBlocks(blocks)
+    monkeypatch.setattr(hn, "build_algorithm", lambda *args: session)
+    trace = hn.run_match(_config(name, sum(n for _x, n, _s in blocks)))
+    starts = itertools.accumulate([n for _x, n, _s in blocks], initial=0)
+    assert len(session.feedback) == len(blocks)
+    for feedback, (_x, _n, total), (start, stop) in zip(
+            session.feedback, blocks, itertools.pairwise(starts)):
+        for reward in trace.rewards[start:stop].tolist():
+            total += reward
+        assert feedback.hex() == total.hex()
+
+
+@pytest.mark.parametrize("chunk", [_SMALL_CHUNK, hn._CHUNK_CELLS])
+def test_numpy_blocks_match_per_pull(monkeypatch, chunk):
+    """Bernoulli blocks, most long enough for numpy, one longer than a
+    chunk of uniforms and others across a chunk bound, against one
+    bandit_reward per pull: the same rewards, means and noise stream state.
+    Horizons cut the last block, end with it, and start the cycle again."""
+    monkeypatch.setattr(hn, "_CHUNK_CELLS", chunk)
+    n = max(chunk, hn._NUMPY_BLOCK)
+    blocks = [(0.0, 5), (1.0, n + 40, 4.0), (0.0, hn._NUMPY_BLOCK),
+              (1.0, 1), (1.0, n - 3)]
+    monkeypatch.setattr(hn, "build_algorithm",
+                        lambda *args: _FixedBlocks(blocks))
+    total = sum(block[1] for block in blocks)
+    for horizon in (total - 7, total, total + 10):
+        _assert_same_pulls(monkeypatch, _config("ucb1-bernoulli", horizon))
 
 
 # ---------------------------------------------------------------------------

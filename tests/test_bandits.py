@@ -134,20 +134,14 @@ def test_cb_bandit_on_convergent():
 
 
 def test_ucb1_single_arm():
-    s = bd.UCB1Session(["only"])
-    for _ in range(20):
-        assert s.choose().bet == "only"
-        s.observe(1.0)
+    bets, _queries = drive(bd.UCB1Session(["only"]), 20, lambda t, a: 1.0)
+    assert bets == ["only"] * 20
 
 
 def test_ucb1_zero_noise_separation():
-    s = bd.UCB1Session([0, 1])
     means = [0.2, 0.8]
-    picks = []
-    for _ in range(4096):
-        a = s.choose().bet
-        picks.append(a)
-        s.observe(means[a])
+    picks, _queries = drive(bd.UCB1Session([0, 1]), 4096,
+                            lambda t, a: means[a.bet])
     # deterministic index trace: arm 0 is pulled only logarithmically often
     n0 = picks.count(0)
     assert n0 <= math.ceil(2 * math.log(4096) / 0.6 ** 2) + 2
@@ -156,14 +150,9 @@ def test_ucb1_zero_noise_separation():
 
 def test_ucb1_replay_deterministic():
     def run():
-        s = bd.UCB1Session([0, 1])
         rng = np.random.default_rng(5)
-        out = []
-        for _ in range(500):
-            a = s.choose().bet
-            out.append(a)
-            s.observe(float(rng.random() < (0.5, 0.6)[a]))
-        return out
+        return drive(bd.UCB1Session([0, 1]), 500,
+                     lambda t, a: float(rng.random() < (0.5, 0.6)[a.bet]))[0]
 
     assert run() == run()
 

@@ -244,6 +244,25 @@ def test_fit_trace_file_of_wrong_shape_exits_1(tmp_path, capsys, text,
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("rewards", "0110"),
+    ("rewards", {"0x1p+0": 1, "0x0p+0": 2, "0x1p-1": 3, "0x1p-2": 4}),
+    ("means", "0x1.6666666666666p-1" * 4),
+    ("seed", "0"), ("seed", 1.0), ("seed", True), ("seed", None),
+], ids=["rewards-hex-digits", "rewards-object", "means-string",
+        "seed-string", "seed-float", "seed-bool", "seed-null"])
+def test_fit_trace_of_wrong_field_type_exits_1(tmp_path, capsys, field,
+                                               value):
+    # each value has 4 elements, as many as the horizon counts
+    trace = {"algorithm": "ucb1", "instance": "arms", "seed": 0,
+             "horizon": 4, "mu_star": (0.7).hex(),
+             "rewards": [(1.0).hex()] * 4, "means": [(0.7).hex()] * 4}
+    trace[field] = value
+    path = _write(tmp_path, "traces.json", {"traces": [trace]})
+    assert cli.main(["fit", "--input", path, "--window", "1,4"]) == 1
+    assert f"trace field {field!r}" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("horizon", [0, True])
 def test_fit_trace_horizon_below_one_or_bool_exits_1(tmp_path, capsys,
                                                      horizon):

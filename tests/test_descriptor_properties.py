@@ -8,6 +8,7 @@ points and means, bit for bit.
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -241,3 +242,44 @@ def test_instance_descriptor_round_trips(kind):
             assert clone.mean(x) == instance.mean(x)
 
     check()
+
+
+# ---------------------------------------------------------------------------
+# reward range
+
+
+@pytest.mark.parametrize("kind", sorted(_INSTANCES))
+def test_bandit_rewards_and_means_lie_in_unit_interval(kind):
+    """UCB1 proves its blocks for rewards in [0, 1], as a reward there never
+    lowers a float sum; every kind must keep its rewards and means there."""
+    @_SETTINGS
+    @given(_INSTANCES[kind], st.lists(_UNIT, max_size=8),
+           st.integers(0, 2 ** 32))
+    def check(instance, xs, seed):
+        rng = np.random.default_rng(seed)
+        points = instance.space.scan_points()
+        if instance.space.kind == "interval":
+            points = points[::64] + xs
+        elif instance.space.kind == "tree":
+            points = points[::64]
+        for x in points:
+            assert 0.0 <= instance.mean(x) <= 1.0
+            for _ in range(3):
+                assert 0.0 <= instance.bandit_reward(x, rng) <= 1.0
+
+    check()
+
+
+def test_means_past_the_unit_interval_are_clipped():
+    """A peak the constructor's 1e-12 slack lets dip below 0, and a logt
+    baseline on a space wider than 4, keep their means in [0, 1]."""
+    peak = inst.PeakInstance(sps.FiniteSpace([0.0, 3.0]), 0.0, 0.1, c=0.3,
+                             noise="none")
+    assert 0.3 - 0.1 * 3.0 < 0.0
+    assert peak.mean(3.0) == 0.0
+    assert peak.bandit_reward(3.0, np.random.default_rng(0)) == 0.0
+    wide = sps.FiniteSpace([0.0, 1.0, 7.0])
+    logt = inst.LogTEnsembleInstance(wide, [7.0], 1, x_star=0.0,
+                                     noise="none")
+    assert [logt.mean(x) for x in wide.coords] == [1.0, 1.0, 0.0]
+    assert logt.mu_star == 1.0

@@ -70,12 +70,13 @@ def test_record_actions():
     assert hn.run_match(_arms_config(horizon=32)).actions is None
 
 
-def _checked_actions(monkeypatch, config):
+def _checked_actions(monkeypatch, config, cls=bd.Session):
     """The actions run_match(config) chose, after checking that choose()
     ran once per action and observe() once per completed one, and that
-    every round records the action's bet and, bit for bit, its mean."""
+    every round records the action's bet and, bit for bit, its mean.  The
+    steps are logged on `cls`, the class of the session run_match steps."""
     log = []  # each action choose() returns; None for each observe()
-    choose, observe = bd.Session.choose, bd.Session.observe
+    choose, observe = cls.choose, cls.observe
 
     def logged_choose(self):
         log.append(choose(self))
@@ -86,8 +87,8 @@ def _checked_actions(monkeypatch, config):
         observe(self, feedback)
 
     with monkeypatch.context() as m:
-        m.setattr(bd.Session, "choose", logged_choose)
-        m.setattr(bd.Session, "observe", logged_observe)
+        m.setattr(cls, "choose", logged_choose)
+        m.setattr(cls, "observe", logged_observe)
         trace = hn.run_match(config)
     chosen = log[0::2]
     assert None not in chosen and all(e is None for e in log[1::2])
@@ -104,8 +105,20 @@ def _checked_actions(monkeypatch, config):
 
 
 def test_run_loop_contract_one_round_actions(monkeypatch):
+    # the completion adapter plays UCB1's blocks one round at a time
     config = _arms_config(horizon=300, record_actions=True)
-    assert {a.rounds for a in _checked_actions(monkeypatch, config)} == {1}
+    config.algorithm = {"name": "completion_adapter", "rounding": "identity",
+                        "inner": config.algorithm}
+    chosen = _checked_actions(monkeypatch, config, bd.CompletionAdapterSession)
+    assert {a.rounds for a in chosen} == {1}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ucb1_plays_its_rounds_in_few_actions(monkeypatch, seed):
+    # the benchmark's ucb1 config: UCB1 repeats the better arm over long
+    # stretches that its proofs turn into blocks
+    config = _arms_config(horizon=2 ** 16, seed=seed, record_actions=True)
+    assert len(_checked_actions(monkeypatch, config)) <= 5000
 
 
 def test_run_loop_contract_blocks(monkeypatch):
