@@ -167,6 +167,9 @@ def _resolve_alpha(f_exponent_fn):
         name, _, arg = f_exponent_fn.partition(":")
         if name in _ALPHA_PRESETS:
             c = float(arg) if arg else 1.0
+            if not math.isfinite(c):
+                raise ValidationError(
+                    f"exponent preset {f_exponent_fn!r} needs a finite c")
             preset = _ALPHA_PRESETS[name]
             return lambda t: preset(t, c)
     raise ValidationError(f"unknown exponent preset {f_exponent_fn!r}")
@@ -390,6 +393,9 @@ class CompletionAdapterSession(Session):
 
     def __init__(self, inner, dense_rounding, rng):
         super().__init__()
+        if inner.mode != "bandit":
+            raise ValidationError(
+                f"'inner' must run in bandit mode, not {inner.mode!r}")
         self.inner = inner
         self.rounding = dense_rounding
         self.rng = rng

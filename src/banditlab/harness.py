@@ -145,6 +145,7 @@ def build_algorithm(descriptor, space, rng):
     if name == "ucb1":
         arms = required(params, "arms", where)
         try:
+            arms = [instances._decode_point(x) for x in arms]
             for x in arms:
                 space.validate_point(x)
         except (StructuralError, TypeError) as exc:

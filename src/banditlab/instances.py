@@ -8,9 +8,11 @@ mixtures (lineage, noncompact, maxminlcd) compile their terms once, at
 construction, into a forest of `_Term`s: signed, plateaued bumps on nested
 balls whose siblings are disjoint, each with its own key and sign bias.
 `term_table` compiles a point list into arrays that give the means of all
-of them and sample a round of them at once, in one walk down that forest
-that takes each term's points together.  `_chain` walks it for one point,
-and `active_terms` keeps each point's walk for the bandit pulls.
+of them, in one walk down that forest that takes each term's points
+together, and `table_round` samples rounds of them at once: it is the one
+sign sampler of `bandit_reward`, `monte_carlo_mean` and certification.
+`_chain` walks the forest for one point, and `active_terms` reads that
+walk afresh on every call; the instance keeps no walk.
 """
 
 from __future__ import annotations
@@ -62,15 +64,10 @@ class PayoffInstance:
         return np.array([self.mean(x) for x in points])
 
     def bandit_reward(self, x, rng):
-        """Reward for a single pull: the sampled function value for sign
-        mixtures, otherwise a Bernoulli draw of the mean."""
+        """Reward for a single pull: one table round at x for sign mixtures,
+        otherwise a Bernoulli draw of the mean."""
         if self.uniformly_lipschitz:
-            total = 0.5
-            for _key, value, bias in self.active_terms(x):
-                if bias < 1.0 and not rng.random() < (1.0 + bias) / 2.0:
-                    value = -value
-                total += value
-            return total
+            return float(table_round(self.term_table([x]), rng, 1)[0, 0])
         if self.noise == "none":
             return self.mean(x)
         return 1.0 if rng.random() < self.mean(x) else 0.0
@@ -103,10 +100,6 @@ class _SignMixture(PayoffInstance):
 
     uniformly_lipschitz = True
 
-    def __init__(self, space):
-        super().__init__(space)
-        self._terms = {}  # point -> its active_terms triples
-
     def _chain(self, x):
         """(term, value) for each term whose ball contains x, root first."""
         distance = self.space.distance
@@ -127,20 +120,16 @@ class _SignMixture(PayoffInstance):
 
     def active_terms(self, x):
         """(key, value, bias) triples with payoff 1/2 + sum sign_key * value,
-        sign_key in {-1, +1} with expectation bias.  Each point is walked
-        once per instance; a walk that raises is not kept."""
-        terms = self._terms.get(x)
-        if terms is None:
-            terms = self._terms[x] = tuple(
-                (term.key, value, term.bias) for term, value in self._chain(x))
-        yield from terms
+        sign_key in {-1, +1} with expectation bias, from a fresh walk."""
+        for term, value in self._chain(x):
+            yield term.key, value, term.bias
 
     def term_table(self, points):
         """(bias, index, value) of the points' walks.  bias[k] is the sign
         bias of the k-th key in first-use order (points in order, terms root
         first); row i of the (points x depth_cap) arrays index and value
         lists point i's terms in walk order, padded with index -1 and value
-        0.0.  `table_round` samples one round of it.  One walk down the
+        0.0.  `table_round` samples rounds of it.  One walk down the
         forest serves all points: each term keeps the rows of its parent's
         that lie in its ball, and the keys, numbered in walk order, are then
         renumbered by first row and level."""
@@ -194,20 +183,22 @@ class _SignMixture(PayoffInstance):
         return total
 
 
-def table_round(table, rng):
-    """The values at a term table's points in one round: the signs of the
-    keys with bias below 1 come from one draw in key order, and each point
-    adds its terms to 1/2 in walk order, position by position.  The padding's
-    index -1 reads a +1 sign."""
+def table_round(table, rng, rounds):
+    """The values at a term table's points in `rounds` rounds, as a
+    (rounds, points) array: each round's signs of the keys with bias below 1
+    come in key order from one rng.random((rounds, keys)) draw, the stream
+    of `rounds` one-round draws, and each point adds its terms to 1/2 in
+    walk order, position by position.  The padding's index -1 reads a +1
+    sign."""
     bias, index, value = table
     drawn = bias < 1.0
-    signs = np.ones(len(bias) + 1)
-    signs[:-1][drawn] = np.where(
-        rng.random(np.count_nonzero(drawn)) < (1.0 + bias[drawn]) / 2.0,
-        1.0, -1.0)
-    total = np.full(len(index), 0.5)
+    signs = np.ones((rounds, len(bias) + 1))
+    signs[:, :-1][:, drawn] = np.where(
+        rng.random((rounds, np.count_nonzero(drawn)))
+        < (1.0 + bias[drawn]) / 2.0, 1.0, -1.0)
+    total = np.full((rounds, len(index)), 0.5)
     for j in range(index.shape[1]):
-        total += signs[index[:, j]] * value[:, j]
+        total += signs[:, index[:, j]] * value[:, j]
     return total
 
 
@@ -215,13 +206,7 @@ def monte_carlo_mean(instance, x, n, rng):
     """Estimate the expected payoff at x from n independent rounds.
     Returns (estimate, standard_error)."""
     if instance.uniformly_lipschitz:
-        values = np.full(n, 0.5)
-        for _key, value, bias in instance.active_terms(x):
-            if bias >= 1.0:
-                values += value
-            else:
-                signs = np.where(rng.random(n) < (1.0 + bias) / 2.0, 1.0, -1.0)
-                values += value * signs
+        values = table_round(instance.term_table([x]), rng, n)[:, 0]
     elif instance.noise == "none":
         return instance.mean(x), 0.0
     else:

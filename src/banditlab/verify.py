@@ -419,8 +419,8 @@ def lipschitz_certify(instance, pairs, rounds, rng):
     table = instance.term_table(points)
     mean_viol = _worst(instance.table_means(table), dist, 0.0)
     sample_viol = 0.0
-    for _ in range(rounds):
-        sample_viol = _worst(inst_mod.table_round(table, rng), dist,
+    for _ in range(rounds):  # one at a time: a round holds (points,) arrays
+        sample_viol = _worst(inst_mod.table_round(table, rng, 1)[0], dist,
                              sample_viol)
     return LipschitzCertificate(pairs, rounds, mean_viol, sample_viol)
 

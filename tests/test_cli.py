@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -423,3 +424,59 @@ def test_simulate_experts_b_must_be_a_finite_number(tmp_path, capsys, name,
               "algorithm": {"name": name, "b": b}, "horizon": 8, "seed": 0}
     assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
     assert "finite number" in capsys.readouterr().err
+
+
+_PEAK = {"kind": "peak", "space": _INTERVAL, "peak": 0.5, "slope": 1.0,
+         "c": 0.9}
+
+
+@pytest.mark.parametrize("inner", [{"name": "naive_experts", "b": 1.0},
+                                   {"name": "double_feedback_expert"}])
+def test_simulate_adapter_inner_must_run_in_bandit_mode(tmp_path, capsys,
+                                                        inner):
+    config = {"space": _INTERVAL, "instance": _PEAK,
+              "algorithm": {"name": "completion_adapter", "inner": inner},
+              "horizon": 8, "seed": 0}
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
+    assert "'inner'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["well_ordered_bandit", "cb_bandit"])
+@pytest.mark.parametrize("f", ["log_power:nan", "log_power:inf"])
+def test_simulate_exponent_preset_argument_must_be_finite(tmp_path, capsys,
+                                                          name, f):
+    config = {"space": _INTERVAL, "instance": _PEAK,
+              "algorithm": {"name": name, "f": f}, "horizon": 64, "seed": 0}
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
+    assert "finite" in capsys.readouterr().err
+
+
+def test_simulate_ucb1_list_arms_are_tree_leaves(tmp_path, capsys):
+    tree = sps.TreeSpace(eps=0.5, depth=2).descriptor()
+    config = {"space": tree,
+              "instance": {"kind": "constant", "space": tree, "c": 0.5},
+              "algorithm": {"name": "ucb1", "arms": [[0, 0], [1, 1]]},
+              "horizon": 16, "seed": 0}
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 0
+    assert "mean_regret" in capsys.readouterr().out
+
+
+# SHA-256 of `banditlab forge --kind K --seed S` stdout, recorded before
+# certification drew its rounds through the rounds axis of table_round
+_FORGE_DIGESTS = {
+    ("lineage", 0): "73b9087c2af1dc8cd625188f4a44ed2efeb713bb35dcbb293cf727bd8a2ab897",
+    ("lineage", 3): "26a5ee0b0e2ea4ab523639d56f0c66a809249b3b930a35f31f79479a6966190e",
+    ("noncompact", 0): "4f8f138f1a308c01f11710d2d187c4c75d4d7784e9dfb42becd3035a90d91af8",
+    ("noncompact", 3): "e3df3e4089a0a74266c884a2d7ee58c96cb6047d67b84451aefb2363ce953af9",
+    ("maxminlcd", 0): "574a2da8056ff45304c0e78567c82bee322fc37eeef41a977fa7f37914de2376",
+    ("maxminlcd", 3): "affb826a9ae1add52ce30a8b9cb74d7c3cd8d961de3f4e3479dc5914de114a6e",
+    ("logt", 0): "4949d5771757ec03b88a5cb0407b3bb106d5488f93582df504aa456ab3ec1be7",
+    ("logt", 3): "4949d5771757ec03b88a5cb0407b3bb106d5488f93582df504aa456ab3ec1be7",
+}
+
+
+@pytest.mark.parametrize("kind, seed", sorted(_FORGE_DIGESTS))
+def test_forge_output_pinned(capsys, kind, seed):
+    assert cli.main(["forge", "--kind", kind, "--seed", str(seed)]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == _FORGE_DIGESTS[kind, seed]

@@ -1,4 +1,4 @@
-"""The compiled term table and the per-point term memo of sign mixtures.
+"""The compiled term table and the per-point term walk of sign mixtures.
 
 The reference is `FunctionSample`, the one-round sampler the table replaced:
 it draws each sign on first use, in the order the points are evaluated, and
@@ -108,7 +108,7 @@ def test_table_rounds_match_function_sample(kind):
     for _ in range(5):
         sample = FunctionSample(instance, ref_rng)
         expected = np.array([sample.evaluate(x) for x in points])
-        got = inst.table_round(table, rng)
+        got = inst.table_round(table, rng, 1)[0]
         assert (got.view(np.int64) == expected.view(np.int64)).all()
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
@@ -252,7 +252,7 @@ def test_table_round_without_drawn_keys_draws_nothing():
     assert (table[0] == 1.0).all()
     rng = np.random.default_rng(5)
     state = rng.bit_generator.state
-    got = inst.table_round(table, rng)
+    got = inst.table_round(table, rng, 1)[0]
     assert rng.bit_generator.state == state
     assert got.tolist() == [instance.mean(x) for x in favored]
 
@@ -342,3 +342,45 @@ def test_active_terms_is_a_generator_function():
     # the benchmark's tracer counts generator functions instead of timing
     # them, and a call must not walk before it is iterated
     assert inspect.isgeneratorfunction(inst._SignMixture.active_terms)
+
+
+def _sign_mixture(kind):
+    if kind == "steep":
+        return _Steep()
+    if kind == "tree_lineage":
+        return inst.instance_from_descriptor(_TREE_LINEAGE)
+    return inst.instance_from_descriptor(_DESCRIPTORS[kind])
+
+
+@pytest.mark.parametrize("kind",
+                         ["steep", "tree_lineage"] + sorted(_DESCRIPTORS))
+@pytest.mark.parametrize("rounds", [0, 1, 6])
+def test_table_rounds_match_one_round_calls(kind, rounds):
+    instance = _sign_mixture(kind)
+    if kind == "tree_lineage":
+        points = _tree_points(instance, 40, seed=1)
+    else:
+        points = _points(instance, 400, seed=1)
+    table = instance.term_table(points)
+    rng, ref_rng = np.random.default_rng(8), np.random.default_rng(8)
+    got = inst.table_round(table, rng, rounds)
+    assert got.shape == (rounds, len(points))
+    for row in got:
+        expected = inst.table_round(table, ref_rng, 1)[0]
+        assert row.tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("kind", ["steep"] + sorted(_DESCRIPTORS))
+def test_monte_carlo_mean_reads_bandit_reward_rounds(kind):
+    """monte_carlo_mean's n rounds at x are the stream of n bandit_reward
+    pulls at x: both draw table rounds of the one-point table."""
+    instance = _sign_mixture(kind)
+    for x in [c for c, _r in _balls(instance)][:4] + [0.0, 0.5]:
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        est, se = inst.monte_carlo_mean(instance, x, 50, rng)
+        pulls = np.array([instance.bandit_reward(x, ref_rng)
+                          for _ in range(50)])
+        assert est.hex() == float(pulls.mean()).hex()
+        assert se.hex() == float(pulls.std(ddof=1) / np.sqrt(50)).hex()
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
