@@ -177,8 +177,12 @@ def _resolve_alpha(f_exponent_fn):
 
 def _phase_params(T, alpha):
     log_t = math.log(T)
-    g = alpha(T) * log_t
-    k = max(1, math.floor(math.sqrt(g / log_t)))
+    try:
+        g = alpha(T) * log_t
+        k = max(1, math.floor(math.sqrt(g / log_t)))
+    except OverflowError:
+        raise ValidationError(
+            f"exponent function overflows at phase length {T}") from None
     n = max(1, math.floor(k * log_t))
     r = 4.0 * math.sqrt(log_t / n)
     return k, n, r

@@ -121,7 +121,9 @@ class MaxMinLCDExperts(_FullFeedback):
     sample averages, estimates the depth of the optimum through the depth
     oracle, excludes clearly suboptimal balls, and builds a small active set
     covering the surviving part of the estimated-depth level.  Bets come from
-    the previous phase's best guess over its active set."""
+    the previous phase's best guess over its active set.  The active set is
+    one scan of that level: each witness is the first scan point outside the
+    excluded balls and the earlier witnesses' delta-balls."""
 
     def __init__(self, space, b, uniform=False):
         if b <= 0:
@@ -153,21 +155,6 @@ class MaxMinLCDExperts(_FullFeedback):
             chosen = (j, points, achieved, False)
             if saturated:
                 return j, points, achieved, True
-
-    def _active_set(self, anchor, exclusion, delta, quota):
-        active = []
-        flagged = False
-        balls = list(exclusion)
-        while True:
-            res = sp.cover_oracle(self.space, anchor, balls)
-            if res.covered:
-                break
-            if len(active) >= quota:
-                flagged = True
-                break
-            active.append(res.witness)
-            balls.append(sp.Ball(res.witness, delta))
-        return tuple(active), flagged
 
     def _run(self):
         bet = self.space.canonical_least()
@@ -202,8 +189,9 @@ class MaxMinLCDExperts(_FullFeedback):
             y_star = sp.depth_oracle(self.space, candidate)
             exclusion = [sp.Ball(x, r) for x in net
                          if gap[x] > 2.0 * (r_t + r)]
-            active, active_flag = self._active_set(
-                y_star, exclusion, delta, quota)
+            witnesses = sp.cover_witnesses(self.space, y_star, exclusion, delta)
+            active = tuple(itertools.islice(witnesses, quota))
+            active_flag = next(witnesses, None) is not None
             pool = prev_active if prev_active else net
             bet = _argmax_canonical(
                 self.space, pool, [sums[x] for x in pool])

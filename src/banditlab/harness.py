@@ -11,7 +11,9 @@ uniforms with the mean in numpy, a sign-mixture pull reads its bet's terms,
 compiled once per match, and the uniforms left unread at the end are
 rewound.  In experts mode `_RoundSampler` samples a block in numpy with the
 bits and noise stream of its rounds, one matrix-vector product per
-distinct sign row.
+distinct sign row.  Bernoulli query sums are integer counts, exact in any
+order, so each chunk adds its column totals; sign-mixture and noise-free
+sums keep the round-order accumulate.
 """
 
 from __future__ import annotations
@@ -229,8 +231,10 @@ class _RoundSampler:
 
     def rewards(self, queries, bet, rounds):
         """(column sums of the query feedback, bet-reward array) over
-        `rounds` rounds; the sums are added in round order."""
+        `rounds` rounds.  Bernoulli sums are integer counts, exact in any
+        order; sign and noise-free sums are added in round order."""
         tag, a, b = self._prepare(list(queries) + [bet])
+        counts = tag == "mean" and self.instance.noise != "none"
         chunk = max(1, _CHUNK_CELLS // max(a.shape))
         sums = np.zeros(len(queries))
         bet_rewards = np.empty(rounds)
@@ -238,10 +242,14 @@ class _RoundSampler:
             values = self._block(tag, a, b, min(chunk, rounds - start))
             bet_rewards[start:start + len(values)] = values[:, -1]
             block = values[:, :-1]
-            # with the running sums in the first row (x + y == y + x), the
-            # row-by-row accumulate adds each column in round order
-            block[0] += sums
-            sums = np.add.accumulate(block, axis=0, out=block)[-1].copy()
+            if counts:
+                # 0/1 outcomes: every partial sum is an integer below 2^53
+                sums += block.sum(axis=0)
+            else:
+                # with the running sums in the first row (x + y == y + x),
+                # the row-by-row accumulate adds each column in round order
+                block[0] += sums
+                sums = np.add.accumulate(block, axis=0, out=block)[-1].copy()
         return sums, bet_rewards
 
 

@@ -697,13 +697,28 @@ class CoverResult:
 
 
 def cover_oracle(space, anchor, balls):
+    witness = next(cover_witnesses(space, anchor, balls, None), None)
+    return CoverResult(witness is None, witness)
+
+
+def cover_witnesses(space, anchor, balls, radius):
+    """cover_oracle's witness, then each next one once the open radius-balls
+    of the earlier ones join the balls (the first reads no radius).  One scan:
+    the balls' union is built once and each witness ORs in its own ball."""
     ds = _require_depth(space)
     lam = 0 if anchor is None else ds.depth_of(space, anchor)
     points, coords = _scan_array(space, ds.levels[lam])
-    outside = np.flatnonzero(~_ball_union(coords, balls, open_balls=True))
-    if len(outside):
-        return CoverResult(False, points[outside[0]])
-    return CoverResult(True)
+    covered = _ball_union(coords, balls, open_balls=True)
+    i = 0
+    while True:
+        # the mask only grows, so no point before the last witness is outside
+        outside = np.flatnonzero(~covered[i:])
+        if not len(outside):
+            return
+        i += outside[0]
+        yield points[i]
+        covered |= _ball_union(coords, [Ball(points[i], radius)],
+                               open_balls=True)
 
 
 @dataclass(frozen=True)

@@ -451,6 +451,16 @@ def test_simulate_exponent_preset_argument_must_be_finite(tmp_path, capsys,
     assert "finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name", ["well_ordered_bandit", "cb_bandit"])
+def test_simulate_exponent_preset_overflow_exits_1(tmp_path, capsys, name):
+    # log(4) ** 1e300 overflows in the first phase
+    config = {"space": _INTERVAL, "instance": _PEAK,
+              "algorithm": {"name": name, "f": "log_power:1e300"},
+              "horizon": 64, "seed": 0}
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
+    assert "overflows" in capsys.readouterr().err
+
+
 def test_simulate_ucb1_list_arms_are_tree_leaves(tmp_path, capsys):
     tree = sps.TreeSpace(eps=0.5, depth=2).descriptor()
     config = {"space": tree,
