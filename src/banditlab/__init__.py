@@ -20,7 +20,6 @@ from .spaces import (
     covering_oracle,
     depth_oracle,
     estimate_dimension,
-    limit_set,
     ordering_oracle,
     rank_covering_oracle,
     space_from_descriptor,
@@ -47,8 +46,8 @@ from .instances import (
 )
 from .bandits import (
     dyadic_rounding,
-    expl,
     identity_rounding,
+    CBBanditSession,
     CompletionAdapterSession,
     ExplPrimeRun,
     ExplRun,

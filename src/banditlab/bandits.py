@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 
 from . import spaces as sp
-from .errors import ValidationError
+from .errors import StructuralError, ValidationError
 
 _POINT_BALL_RADIUS = 1e-15  # stands in for a closed ball of radius zero
 
@@ -134,21 +134,6 @@ class ExplPrimeRun(ExplRun):
         return min(winners, key=self.space.canonical_key)
 
 
-def expl(space, k, n, r, pull, sweep_cls=ExplRun):
-    """Functional front-end: runs the sweep to completion, one pull(x) per
-    round."""
-    sweep = sweep_cls(space, k, n, r).run(lambda x: x)
-    x = next(sweep)
-    try:
-        while True:
-            total = 0.0
-            for _ in range(n):
-                total += pull(x)
-            x = sweep.send(total)
-    except StopIteration as done:
-        return done.value
-
-
 # ---------------------------------------------------------------------------
 # doubly exponential phases around an exploration sweep
 
@@ -160,19 +145,19 @@ _ALPHA_PRESETS = {
 }
 
 
-def _resolve_alpha(f_exponent_fn):
-    if callable(f_exponent_fn):
-        return f_exponent_fn
-    if isinstance(f_exponent_fn, str):
-        name, _, arg = f_exponent_fn.partition(":")
+def _resolve_alpha(f):
+    if callable(f):
+        return f
+    if isinstance(f, str):
+        name, _, arg = f.partition(":")
         if name in _ALPHA_PRESETS:
             c = float(arg) if arg else 1.0
             if not math.isfinite(c):
                 raise ValidationError(
-                    f"exponent preset {f_exponent_fn!r} needs a finite c")
+                    f"exponent preset {f!r} needs a finite c")
             preset = _ALPHA_PRESETS[name]
             return lambda t: preset(t, c)
-    raise ValidationError(f"unknown exponent preset {f_exponent_fn!r}")
+    raise ValidationError(f"unknown exponent preset {f!r}")
 
 
 def _phase_params(T, alpha):
@@ -192,14 +177,17 @@ class PhasedExplSession(Session):
     """Phases of length 2^(2^i); each phase explores with a fresh sweep and
     then plays the sweep's output.  If the phase ends before exploration
     completes, the previous commit point carries over.  The sweep ExplRun
-    gives the well-ordered bandit; ExplPrimeRun gives the CB-rank bandit.
-    Each sweep point is one action; so is the commit tail."""
+    gives the well-ordered bandit; `CBBanditSession` sweeps with
+    ExplPrimeRun.  Each sweep point is one action; so is the commit tail.
+    `f` is an exponent preset name or a function of t."""
 
-    def __init__(self, space, f_exponent_fn="log_power:1", sweep_cls=ExplRun):
+    name = "well_ordered_bandit"
+    sweep_cls = ExplRun
+
+    def __init__(self, space, f="log_power:1"):
         super().__init__()
         self.space = space
-        self.alpha = _resolve_alpha(f_exponent_fn)
-        self.sweep_cls = sweep_cls
+        self.alpha = _resolve_alpha(f)
 
     def _run(self):
         commit = self.space.canonical_least()
@@ -225,6 +213,11 @@ class PhasedExplSession(Session):
                 for x, start in zip(sweep.points, range(0, T, n)):
                     yield Action(x, rounds=min(n, T - start))
             rounds += T
+
+
+class CBBanditSession(PhasedExplSession):
+    name = "cb_bandit"
+    sweep_cls = ExplPrimeRun
 
 
 # ---------------------------------------------------------------------------
@@ -299,13 +292,21 @@ def _ucb1(arms, rounds):
 
 
 class UCB1Session(Session):
-    """UCB1 over a fixed arm list, without end."""
+    """UCB1 over a fixed list of the space's points, without end.  Arms
+    given as lists are tree-space leaves (tuples)."""
 
-    def __init__(self, arms):
+    name = "ucb1"
+
+    def __init__(self, space, arms):
         super().__init__()
-        if len(arms) < 1:
-            raise ValidationError("need at least one arm")
-        self.arms = list(arms)
+        try:
+            self.arms = [tuple(x) if isinstance(x, list) else x for x in arms]
+            for x in self.arms:
+                space.validate_point(x)
+        except (StructuralError, TypeError) as exc:
+            raise ValidationError(f"field 'arms': {exc}") from None
+        if not self.arms:
+            raise ValidationError("field 'arms' needs at least one arm")
 
     def _run(self):
         return _ucb1(self.arms, None)
@@ -336,6 +337,8 @@ class PhasedUCB1Session(Session):
     centers; phase lengths follow t_k = max(t*_k, t*_{k+1}, 2 sum of earlier
     lengths) with t*_k = 2 N_k/eps_k^2 log(N_k/eps_k^2), so every phase is
     long enough for its own net and the next one."""
+
+    name = "phased_ucb1"
 
     def __init__(self, space):
         super().__init__()
@@ -393,15 +396,25 @@ class CompletionAdapterSession(Session):
     choice and feeds the inner session a 0/1 re-randomization of the
     observed reward, preserving its expectation.  The rounding depends on
     the round, so an inner block is played one round at a time; the inner
-    session is sent the block's bits added in round order onto its start."""
+    session is sent the block's bits added in round order onto its start.
+    `rounding` is "identity", "dyadic" or "dyadic:<levels>"."""
 
-    def __init__(self, inner, dense_rounding, rng):
+    name = "completion_adapter"
+
+    def __init__(self, inner, rng, rounding="dyadic"):
         super().__init__()
         if inner.mode != "bandit":
             raise ValidationError(
                 f"'inner' must run in bandit mode, not {inner.mode!r}")
+        kind, _, arg = str(rounding).partition(":")
+        if rounding == "identity":
+            self.rounding = identity_rounding
+        elif kind == "dyadic" and (not arg or arg.isdecimal()):
+            self.rounding = (dyadic_rounding(int(arg)) if arg
+                             else dyadic_rounding())
+        else:
+            raise ValidationError(f"unknown 'rounding' {rounding!r}")
         self.inner = inner
-        self.rounding = dense_rounding
         self.rng = rng
         self.info = inner.info
 

@@ -59,22 +59,20 @@ _FORGE_KINDS = ("lineage", "noncompact", "maxminlcd", "logt")
 
 
 def _forge_instance(kind, seed):
-    if kind == "lineage":
-        space = spaces.IntervalSpace()
-        tree = spaces.build_ball_tree(space, 4)
-        return instances.LineageInstance(space, tree, gamma=0.3, depth_cap=4,
-                                         seed=seed)
-    if kind == "noncompact":
-        return instances.NoncompactInstance(
-            [0.1, 0.3, 0.5, 0.7, 0.9], 0.05, seed=seed, sizes=[2, 3])
-    if kind == "maxminlcd":
-        return instances.MaxMinLCDInstance(
-            spaces.IntervalSpace(), b=0.5, depth_cap=3, seed=seed)
-    if kind == "logt":
-        return instances.LogTEnsembleInstance(
-            spaces.IntervalSpace(), [0.5 + 3.0 ** -k for k in range(1, 6)], 1,
-            x_star=0.5)
-    raise ValidationError(f"unknown instance kind {kind!r}")
+    """The hard instance of a forge kind, read from its descriptor."""
+    interval = {"kind": "interval"}
+    return instances.instance_from_descriptor({
+        "lineage": {"kind": "lineage", "space": interval, "tree_depth": 4,
+                    "gamma": 0.3, "depth_cap": 4, "seed": seed},
+        "noncompact": {"kind": "noncompact",
+                       "centers": [0.1, 0.3, 0.5, 0.7, 0.9], "r": 0.05,
+                       "seed": seed, "sizes": [2, 3]},
+        "maxminlcd": {"kind": "maxminlcd", "space": interval, "b": 0.5,
+                      "depth_cap": 3, "seed": seed},
+        "logt": {"kind": "logt", "space": interval,
+                 "seq": [0.5 + 3.0 ** -k for k in range(1, 6)], "i": 1,
+                 "x_star": 0.5},
+    }[kind])
 
 
 def _cmd_forge(args):

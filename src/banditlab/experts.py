@@ -25,6 +25,7 @@ class DoubleFeedbackExpert(Session):
     previous phase's sweep output, so bets never depend on current peeks.
     Each sweep point is one action; so is the rest of the phase."""
 
+    name = "double_feedback_expert"
     mode = "double"
 
     def __init__(self, space):
@@ -83,6 +84,8 @@ class NaiveExperts(_FullFeedback):
     oracle with a doubling budget; it coarsens (and is flagged) where the
     space cannot be covered that finely."""
 
+    name = "naive_experts"
+
     def __init__(self, space, b, uniform=False):
         if b < 0:
             raise ValidationError("b must be nonnegative")
@@ -124,6 +127,8 @@ class MaxMinLCDExperts(_FullFeedback):
     the previous phase's best guess over its active set.  The active set is
     one scan of that level: each witness is the first scan point outside the
     excluded balls and the earlier witnesses' delta-balls."""
+
+    name = "maxminlcd_experts"
 
     def __init__(self, space, b, uniform=False):
         if b <= 0:

@@ -19,6 +19,7 @@ sums keep the round-order accumulate.
 from __future__ import annotations
 
 import csv
+import inspect
 import json
 import math
 import numbers
@@ -29,8 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import bandits, experts, instances, spaces as sp
-from .errors import (BanditLabError, StructuralError, ValidationError, build,
-                     known, required)
+from .errors import BanditLabError, ValidationError, build, known, required
 
 
 # ---------------------------------------------------------------------------
@@ -128,55 +128,31 @@ def _is_int(value):
 # algorithm registry
 
 
-# the parameters each algorithm reads, besides its name
-_ALGORITHM_FIELDS = {
-    "ucb1": ("arms",), "well_ordered_bandit": ("f",), "cb_bandit": ("f",),
-    "phased_ucb1": (), "completion_adapter": ("inner", "rounding"),
-    "double_feedback_expert": (), "naive_experts": ("b", "uniform"),
-    "maxminlcd_experts": ("b", "uniform"),
-}
+_ALGORITHMS = {cls.name: cls for cls in (
+    bandits.UCB1Session, bandits.PhasedExplSession, bandits.CBBanditSession,
+    bandits.PhasedUCB1Session, bandits.CompletionAdapterSession,
+    experts.DoubleFeedbackExpert, experts.NaiveExperts,
+    experts.MaxMinLCDExperts)}
 
 
 def build_algorithm(descriptor, space, rng):
+    """The session an algorithm descriptor describes: its constructor's
+    signature is the schema.  `space` and `rng` come from the match, to the
+    constructors that take them, so a descriptor may set neither; `inner`
+    is itself an algorithm descriptor."""
     name = required(descriptor, "name", "algorithm")
-    if not isinstance(name, str) or name not in _ALGORITHM_FIELDS:
+    if not isinstance(name, str) or name not in _ALGORITHMS:
         raise ValidationError(f"unknown algorithm {name!r}")
-    params = {k: v for k, v in descriptor.items() if k != "name"}
+    cls = _ALGORITHMS[name]
     where = f"algorithm {name!r}"
-    known(params, _ALGORITHM_FIELDS[name], where)
-    if name == "ucb1":
-        arms = required(params, "arms", where)
-        try:
-            arms = [instances._decode_point(x) for x in arms]
-            for x in arms:
-                space.validate_point(x)
-        except (StructuralError, TypeError) as exc:
-            raise ValidationError(f"{where} field 'arms': {exc}") from None
-        return bandits.UCB1Session(arms)
-    if name in ("well_ordered_bandit", "cb_bandit"):
-        sweep = bandits.ExplPrimeRun if name == "cb_bandit" else bandits.ExplRun
-        f = {"f_exponent_fn": params["f"]} if "f" in params else {}
-        return build(bandits.PhasedExplSession,
-                     dict(f, space=space, sweep_cls=sweep), where)
-    if name == "phased_ucb1":
-        return bandits.PhasedUCB1Session(space)
-    if name == "completion_adapter":
-        inner = build_algorithm(required(params, "inner", where), space, rng)
-        rule = params.get("rounding", "dyadic")
-        kind, _, arg = str(rule).partition(":")
-        if rule == "identity":
-            rounding = bandits.identity_rounding
-        elif kind == "dyadic" and (not arg or arg.isdecimal()):
-            rounding = (bandits.dyadic_rounding(int(arg)) if arg
-                        else bandits.dyadic_rounding())
-        else:
-            raise ValidationError(f"{where}: unknown 'rounding' {rule!r}")
-        return bandits.CompletionAdapterSession(inner, rounding, rng)
-    if name == "double_feedback_expert":
-        return experts.DoubleFeedbackExpert(space)
-    cls = (experts.NaiveExperts if name == "naive_experts"
-           else experts.MaxMinLCDExperts)
-    return build(cls, dict(params, space=space), where)
+    fields = {k: v for k, v in descriptor.items() if k != "name"}
+    params = inspect.signature(cls).parameters
+    match = {"space": space, "rng": rng}
+    known(fields, params.keys() - match.keys(), where)
+    fields.update((k, v) for k, v in match.items() if k in params)
+    if "inner" in fields:
+        fields["inner"] = build_algorithm(fields["inner"], space, rng)
+    return build(cls, fields, where)
 
 
 # ---------------------------------------------------------------------------

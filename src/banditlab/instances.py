@@ -166,11 +166,6 @@ class _SignMixture(PayoffInstance):
     def mean(self, x):
         return float(self.table_means(self.term_table([x]))[0])
 
-    @staticmethod
-    def _mean_term(bias, value):
-        """The terms' shares of the mean, from arrays of biases and values."""
-        return bias * value
-
     def table_means(self, table):
         """mean(x) at each point of a term table, its terms added to 1/2 in
         walk order; a term of bias 0 and the padding add 0.0, which leaves
@@ -179,7 +174,7 @@ class _SignMixture(PayoffInstance):
         bias = np.append(bias, 0.0)
         total = np.full(len(index), 0.5)
         for j in range(index.shape[1]):
-            total += self._mean_term(bias[index[:, j]], value[:, j])
+            total += bias[index[:, j]] * value[:, j]
         return total
 
 
@@ -585,12 +580,6 @@ class MaxMinLCDInstance(_SignMixture):
                                1.0 / 3.0 if j == q_idx else 0.0,
                                self._grow(c, r_child, level + 1, rng)))
         return terms
-
-    @staticmethod
-    def _mean_term(bias, value):
-        # value / 3.0 on a Q ball, as the goldens were recorded with it;
-        # value * (1.0 / 3.0) differs in the last bit of some addends
-        return (bias != 0) * (value / 3.0)
 
     def q_chain_center(self):
         balls = self.roots

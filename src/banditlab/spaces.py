@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -235,6 +235,13 @@ class IntervalSpace(MetricSpace):
                  well_order=None, depth_chain=None, depth_dimension=1.0):
         self.resolution = float(resolution)
         self.scan_resolution = float(scan_resolution)
+        if not 0.0 < self.resolution < math.inf:
+            raise ValidationError("interval field 'resolution' must be finite "
+                                  f"and > 0, not {resolution!r}")
+        # the scan grid steps across [0, 1]
+        if not 0.0 < self.scan_resolution <= 1.0:
+            raise ValidationError("interval field 'scan_resolution' must be "
+                                  f"in (0, 1], not {scan_resolution!r}")
         self.well_order = well_order
         if well_order not in (None, "coordinate"):
             raise ValidationError("interval well_order must be 'coordinate'")
@@ -514,6 +521,10 @@ class TreeSpace(MetricSpace):
                  branch_cap=_BRANCH_CAP_DEFAULT):
         if not 0 < eps < 1:
             raise ValidationError("eps must be in (0,1)")
+        if (isinstance(depth, bool) or not isinstance(depth, numbers.Integral)
+                or depth < 1):
+            raise ValidationError(
+                f"tree field 'depth' must be an int >= 1, not {depth!r}")
         self.eps = float(eps)
         self.depth = int(depth)
         self.b = b
@@ -785,24 +796,6 @@ def estimate_dimension(space, mode, delta_grid):
 
 def cb_rank(space):
     return len(space.rank_classes()) - 1
-
-
-@dataclass
-class LimitSet:
-    points: list
-    _contains: Callable
-
-    def contains(self, p):
-        return self._contains(p)
-
-
-def limit_set(space, i):
-    classes = space.rank_classes()
-    if i > len(classes):
-        return LimitSet([], lambda p: False)
-    pts = [p for cls in classes[i:] for p in cls]
-    ptset = set(pts)
-    return LimitSet(sorted(ptset), lambda p: p in ptset)
 
 
 # ---------------------------------------------------------------------------

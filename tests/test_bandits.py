@@ -46,7 +46,7 @@ def test_expl_budget_accounting():
 
 def test_expl_zero_noise_finds_optimum():
     space, instance = _convergent_peak()
-    winner = bd.expl(space, 11, 5, 0.001, instance.mean)
+    winner, _pulls = _sweep(bd.ExplRun(space, 11, 5, 0.001), instance.mean)
     assert winner == 0.0
 
 
@@ -64,14 +64,14 @@ def test_expl_loser_rule_keeps_optimal_point():
 def test_expl_no_losers_at_large_radius():
     space, instance = _convergent_peak()
     # r >= 1 makes every covering point a non-loser; the well-order decides
-    winner = bd.expl(space, 11, 1, 2.0, instance.mean)
+    winner, _pulls = _sweep(bd.ExplRun(space, 11, 1, 2.0), instance.mean)
     assert winner == 0.0
 
 
 def test_expl_prime_prefers_higher_rank():
     space, instance = _convergent_peak()
-    winner = bd.expl(space, 11, 5, 0.001, instance.mean,
-                     sweep_cls=bd.ExplPrimeRun)
+    winner, _pulls = _sweep(bd.ExplPrimeRun(space, 11, 5, 0.001),
+                            instance.mean)
     assert winner == 0.0
 
 
@@ -123,7 +123,7 @@ def test_f_preset_registry():
 
 def test_cb_bandit_on_convergent():
     space, instance = _convergent_peak()
-    session = bd.PhasedExplSession(space, sweep_cls=bd.ExplPrimeRun)
+    session = bd.CBBanditSession(space)
     drive(session, 300, lambda t, a: instance.mean(a.bet))
     completed = [p for p in session.info["phases"] if p["completed"]]
     assert completed and completed[-1]["commit"] == 0.0
@@ -134,13 +134,15 @@ def test_cb_bandit_on_convergent():
 
 
 def test_ucb1_single_arm():
-    bets, _queries = drive(bd.UCB1Session(["only"]), 20, lambda t, a: 1.0)
-    assert bets == ["only"] * 20
+    bets, _queries = drive(bd.UCB1Session(sps.FiniteSpace([0.5]), [0.5]), 20,
+                           lambda t, a: 1.0)
+    assert bets == [0.5] * 20
 
 
 def test_ucb1_zero_noise_separation():
     means = [0.2, 0.8]
-    picks, _queries = drive(bd.UCB1Session([0, 1]), 4096,
+    picks, _queries = drive(bd.UCB1Session(sps.FiniteSpace([0, 1]), [0, 1]),
+                            4096,
                             lambda t, a: means[a.bet])
     # deterministic index trace: arm 0 is pulled only logarithmically often
     n0 = picks.count(0)
@@ -151,14 +153,14 @@ def test_ucb1_zero_noise_separation():
 def test_ucb1_replay_deterministic():
     def run():
         rng = np.random.default_rng(5)
-        return drive(bd.UCB1Session([0, 1]), 500,
+        return drive(bd.UCB1Session(sps.FiniteSpace([0, 1]), [0, 1]), 500,
                      lambda t, a: float(rng.random() < (0.5, 0.6)[a.bet]))[0]
 
     assert run() == run()
 
 
 def test_observe_before_choose_rejected():
-    s = bd.UCB1Session([0])
+    s = bd.UCB1Session(sps.FiniteSpace([0]), [0])
     with pytest.raises(ValidationError):
         s.observe(1.0)
 
@@ -220,10 +222,10 @@ def test_completion_adapter_identity_on_binary_rewards():
         out, _queries = drive(session, 200, lambda t, a: means[a.bet])
         return out
 
-    plain = run(bd.UCB1Session([0.0, 1.0]))
+    plain = run(bd.UCB1Session(space, [0.0, 1.0]))
     adapted = run(bd.CompletionAdapterSession(
-        bd.UCB1Session([0.0, 1.0]), bd.identity_rounding,
-        np.random.default_rng(0)))
+        bd.UCB1Session(space, [0.0, 1.0]), np.random.default_rng(0),
+        "identity"))
     assert plain == adapted
 
 
@@ -239,8 +241,8 @@ def test_completion_adapter_mean_preserving():
                 self.feedback.append(v)
 
     rec = Recorder()
-    adapter = bd.CompletionAdapterSession(rec, bd.identity_rounding,
-                                          np.random.default_rng(1))
+    adapter = bd.CompletionAdapterSession(rec, np.random.default_rng(1),
+                                          "identity")
     for _ in range(20000):
         adapter.choose()
         adapter.observe(0.73)
@@ -252,8 +254,8 @@ def test_completion_adapter_mean_preserving():
 def test_completion_adapter_rounds_actions():
     space = sps.IntervalSpace(well_order="coordinate")
     inner = bd.PhasedExplSession(space)
-    adapter = bd.CompletionAdapterSession(inner, bd.dyadic_rounding(20),
-                                          np.random.default_rng(0))
+    adapter = bd.CompletionAdapterSession(inner, np.random.default_rng(0),
+                                          "dyadic:20")
     rng = np.random.default_rng(2)
     for t in range(1, 50):
         x = adapter.choose().bet

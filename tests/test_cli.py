@@ -471,6 +471,35 @@ def test_simulate_ucb1_list_arms_are_tree_leaves(tmp_path, capsys):
     assert "mean_regret" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("algorithm", [
+    {"name": "phased_ucb1"}, {"name": "maxminlcd_experts", "b": 1.0}],
+    ids=["phased_ucb1", "maxminlcd_experts"])
+@pytest.mark.parametrize("field, value", [
+    ("scan_resolution", 0), ("scan_resolution", -0.5),
+    ("scan_resolution", math.nan), ("scan_resolution", 2.0),
+    ("resolution", 0), ("resolution", -1.0), ("resolution", math.inf)])
+def test_simulate_interval_resolution_out_of_range_exits_1(tmp_path, capsys,
+                                                           algorithm, field,
+                                                           value):
+    space = dict(_DECOMPOSED, **{field: value})
+    instance = {"kind": "peak", "space": space, "peak": 0.8, "slope": 1.0,
+                "c": 0.9}
+    config = {"space": space, "instance": instance, "algorithm": algorithm,
+              "horizon": 64, "seed": 0}
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
+    assert f"{field!r}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("depth", [2.5, 0, True, "2"])
+def test_simulate_tree_depth_must_be_a_positive_int(tmp_path, capsys, depth):
+    tree = {"kind": "tree", "eps": 0.5, "depth": depth}
+    config = {"space": tree,
+              "instance": {"kind": "constant", "space": tree, "c": 0.5},
+              "algorithm": {"name": "phased_ucb1"}, "horizon": 16, "seed": 0}
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
+    assert "'depth'" in capsys.readouterr().err
+
+
 # SHA-256 of `banditlab forge --kind K --seed S` stdout, recorded before
 # certification drew its rounds through the rounds axis of table_round
 _FORGE_DIGESTS = {

@@ -5,12 +5,16 @@ constructor gives with its own defaults, so no default can drift between
 the two.  A field no constructor takes is an error, never ignored.
 """
 
+import numpy as np
 import pytest
 
+import banditlab.bandits as bd
+import banditlab.experts as ex
 import banditlab.instances as inst
 import banditlab.spaces as sps
 from banditlab.errors import ValidationError
-from banditlab.harness import ExperimentConfig
+from banditlab.harness import _ALGORITHMS, ExperimentConfig, build_algorithm
+from blocks import drive
 
 _SEQ = [0.5 + 3.0 ** -k for k in range(1, 4)]
 _CENTERS = [0.1, 0.3, 0.5, 0.7]
@@ -131,3 +135,79 @@ def test_unknown_field_is_rejected(decode, d):
 def test_special_case_key_is_unknown_elsewhere(decode, d, key):
     with pytest.raises(ValidationError, match=f"'{key}'"):
         decode(d)
+
+
+# name -> (minimal algorithm descriptor, the constructor called with the
+# same fields and the match's space and rng)
+_MINIMAL_ALGORITHMS = {
+    "ucb1": ({"name": "ucb1", "arms": [0.25, 0.75]},
+             lambda space, rng: bd.UCB1Session(space, [0.25, 0.75])),
+    "well_ordered_bandit": ({"name": "well_ordered_bandit"},
+                            lambda space, rng: bd.PhasedExplSession(space)),
+    "cb_bandit": ({"name": "cb_bandit"},
+                  lambda space, rng: bd.CBBanditSession(space)),
+    "phased_ucb1": ({"name": "phased_ucb1"},
+                    lambda space, rng: bd.PhasedUCB1Session(space)),
+    "completion_adapter": (
+        {"name": "completion_adapter", "inner": {"name": "phased_ucb1"}},
+        lambda space, rng: bd.CompletionAdapterSession(
+            bd.PhasedUCB1Session(space), rng)),
+    "double_feedback_expert": (
+        {"name": "double_feedback_expert"},
+        lambda space, rng: ex.DoubleFeedbackExpert(space)),
+    "naive_experts": ({"name": "naive_experts", "b": 1.0},
+                      lambda space, rng: ex.NaiveExperts(space, 1.0)),
+    "maxminlcd_experts": ({"name": "maxminlcd_experts", "b": 1.0},
+                          lambda space, rng: ex.MaxMinLCDExperts(space, 1.0)),
+}
+
+# well-ordered, with rank classes and a depth chain: every session runs
+_SPACE = sps.FiniteSpace(
+    [0.0, 0.25, 0.5, 0.75, 1.0],
+    depth_chain=[{"kind": "all"}, {"kind": "points", "points": [0.75]}])
+
+
+def _steps(session):
+    """The class, the bets and queries of 300 rounds at a constant 1/2, and
+    the phase records of a session."""
+    if session.mode == "bandit":
+        bets = drive(session, 300, lambda t, a: 0.5)
+    else:
+        bets = drive(session, 300, lambda t, a: np.full(len(a.queries), 0.5))
+    return type(session), bets, session.info
+
+
+@pytest.mark.parametrize("name", sorted(_MINIMAL_ALGORITHMS))
+def test_minimal_algorithm_descriptor_takes_constructor_defaults(name):
+    d, build = _MINIMAL_ALGORITHMS[name]
+    assert (_steps(build_algorithm(d, _SPACE,
+                                   np.random.default_rng(0)))
+            == _steps(build(_SPACE, np.random.default_rng(0))))
+
+
+def test_every_session_class_has_a_name_and_a_minimal_descriptor():
+    named = {cls for module in (bd, ex) for cls in vars(module).values()
+             if isinstance(cls, type) and issubclass(cls, bd.Session)
+             and "name" in vars(cls)}
+    assert {_ALGORITHMS[cls.name] for cls in named} == named
+    assert set(_MINIMAL_ALGORITHMS) == set(_ALGORITHMS)
+
+
+# the match supplies space and rng, so no descriptor may set them
+@pytest.mark.parametrize("key", ["colour", "space", "rng"])
+@pytest.mark.parametrize("name", sorted(_MINIMAL_ALGORITHMS))
+def test_unknown_algorithm_field_is_rejected(name, key):
+    d, _build = _MINIMAL_ALGORITHMS[name]
+    with pytest.raises(ValidationError, match=f"'{name}' has the unknown "
+                                              f"field '{key}'"):
+        build_algorithm(dict(d, **{key: 0}), _SPACE,
+                        np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("key", ["space", "rng"])
+def test_inner_algorithm_cannot_set_match_fields(key):
+    d = {"name": "completion_adapter",
+         "inner": {"name": "well_ordered_bandit", key: 0}}
+    with pytest.raises(ValidationError, match=f"'well_ordered_bandit' has "
+                                              f"the unknown field '{key}'"):
+        build_algorithm(d, _SPACE, np.random.default_rng(0))

@@ -121,14 +121,6 @@ def test_rank_covering_oracle():
         sps.rank_covering_oracle(space, 2, 3)
 
 
-def test_limit_set():
-    space = sps.ConvergentSpace(10)
-    ls = sps.limit_set(space, 1)
-    assert ls.points == [0.0]
-    assert ls.contains(0.0) and not ls.contains(1.0)
-    assert sps.limit_set(space, 3).points == []
-
-
 # ---------------------------------------------------------------------------
 # depth and cover oracles
 
