@@ -312,22 +312,6 @@ class UCB1Session(Session):
         return _ucb1(self.arms, None)
 
 
-def _net_for_radius(space, radius, k=1, max_budget=2 ** 20):
-    """Smallest doubling budget from k whose covering has delta <= radius;
-    returns (points, delta, saturated_flag, budget).  A budget that failed at
-    some radius also fails at any smaller one, so a search over shrinking
-    radii may restart from the budget the previous search stopped at."""
-    while True:
-        delta, points = sp.covering_oracle(space, k)
-        if delta <= radius + 1e-12:
-            # delta 0 means the net is the whole space and cannot refine
-            return points, delta, delta <= 0.0, k
-        if len(points) < k or 2 * k > max_budget:
-            # covering stopped growing: the space cannot be covered finer
-            return points, delta, True, k
-        k *= 2
-
-
 def _tstar(n_balls, eps):
     return 2.0 * n_balls / eps ** 2 * math.log(n_balls / eps ** 2)
 
@@ -353,8 +337,8 @@ class PhasedUCB1Session(Session):
         while True:
             eps = 2.0 ** -k
             if not saturated:
-                net, _delta, saturated, _k = _net_for_radius(self.space, eps)
-                next_net, *_ = _net_for_radius(self.space, eps / 2.0)
+                net, _delta, saturated = sp.net_for_radius(self.space, eps)
+                next_net, *_ = sp.net_for_radius(self.space, eps / 2.0)
             else:
                 next_net = net
             tstar_k = _tstar(len(net), eps)

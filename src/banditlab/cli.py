@@ -50,7 +50,7 @@ def _cmd_dimension(args):
     est = spaces.estimate_dimension(space, args.mode, grid)
     for row in est.table:
         print(f"delta={row['delta']:.6g}  N={row['count']}  "
-              f"exact={row['exact']}  stat={row['statistic']:.4f}")
+              f"stat={row['statistic']:.4f}")
     print(f"estimate={est.estimate:.4f}")
     return 0
 

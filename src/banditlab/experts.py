@@ -13,7 +13,7 @@ import itertools
 import math
 
 from . import spaces as sp
-from .bandits import Action, ExplRun, Session, _net_for_radius
+from .bandits import Action, ExplRun, Session
 from .errors import ValidationError
 
 _ACTIVE_SET_CAP = 4096
@@ -97,8 +97,7 @@ class NaiveExperts(_FullFeedback):
         for i in itertools.count(1):
             T = 2 ** i
             delta = self._phase_delta(T)
-            queries, achieved, coarsened, _k = _net_for_radius(
-                self.space, delta)
+            queries, achieved, coarsened = sp.net_for_radius(self.space, delta)
             queries = tuple(queries)
             phase = {"phase": i, "length": T, "start": rounds,
                      "delta": delta, "delta_achieved": achieved,
@@ -136,8 +135,6 @@ class MaxMinLCDExperts(_FullFeedback):
         super().__init__(space, b, uniform)
         if space.depth_structure is None:
             raise ValidationError("space needs a depth structure")
-        # _net_for_radius at radius 2^-j by scale j: the same in every phase
-        self._nets = []
 
     def _select_net(self, T):
         limit = 2.0 ** math.sqrt(T)
@@ -148,11 +145,8 @@ class MaxMinLCDExperts(_FullFeedback):
                 # representation resolution reached before the size limit
                 j, points, achieved, _ = chosen
                 return j, points, achieved, True
-            if j == len(self._nets):
-                budget = self._nets[-1][3] if self._nets else 1
-                self._nets.append(
-                    _net_for_radius(self.space, 2.0 ** -j, budget))
-            points, achieved, saturated, _budget = self._nets[j]
+            points, achieved, saturated = sp.net_for_radius(
+                self.space, 2.0 ** -j)
             if len(points) > limit:
                 if chosen is None:
                     return 0, points, achieved, True

@@ -24,13 +24,14 @@ import json
 import math
 import numbers
 import operator
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bandits, experts, instances, spaces as sp
-from .errors import BanditLabError, ValidationError, build, known, required
+from .errors import ValidationError, build, known, required
 
 
 # ---------------------------------------------------------------------------
@@ -462,29 +463,20 @@ def aggregate_traces(traces):
 
 
 def run_replicates(config, seeds, parallelism=1):
-    """One trace per seed plus checkpoint aggregates; results are identical
-    for any parallelism degree."""
+    """One trace per seed plus checkpoint aggregates; results, and the
+    error of the first failing seed, are the same for any parallelism
+    degree.  The pool starts no more workers than seeds or CPUs."""
     seeds = list(seeds)
     if len(set(seeds)) != len(seeds):
         raise ValidationError("replicate seeds must be distinct")
     cd = config.to_dict()
-    if parallelism <= 1 or len(seeds) == 1:
+    workers = min(parallelism, len(seeds), os.cpu_count() or 1)
+    if workers <= 1:
         traces = [_replicate_worker(cd, s) for s in seeds]
     else:
-        failures = []
-        with ProcessPoolExecutor(max_workers=parallelism) as pool:
-            futures = [(s, pool.submit(_replicate_worker, cd, s))
-                       for s in seeds]
-            traces = []
-            for s, fut in futures:
-                try:
-                    traces.append(fut.result())
-                except Exception as exc:  # noqa: BLE001 - reported below
-                    failures.append((s, exc))
-        if failures:
-            raise BanditLabError(
-                f"{len(failures)} replicate(s) failed, first: "
-                f"seed {failures[0][0]}: {failures[0][1]}")
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            traces = list(pool.map(_replicate_worker, [cd] * len(seeds),
+                                   seeds))
     return traces, aggregate_traces(traces)
 
 

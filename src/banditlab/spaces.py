@@ -25,6 +25,21 @@ from .errors import (
 )
 
 _EPS = 1e-12
+_BUDGET = 2 ** 20  # the most points any covering, scan grid or point set holds
+
+
+def _count(value, what, least=1):
+    """value as an int >= least; a bool or a non-int names what in an error."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValidationError(f"{what} must be an int >= {least}, not {value!r}")
+    return int(value)
+
+
+def _within_budget(points, what):
+    if points > _BUDGET:
+        raise ValidationError(
+            f"{what} asks for {points} points, over the budget of {_BUDGET}")
 
 
 # ---------------------------------------------------------------------------
@@ -192,10 +207,9 @@ class MetricSpace:
     def covering(self, k):
         raise NotImplementedError
 
-    def covering_number_exact(self, delta):
-        """Exact minimal covering number, or None when only the greedy
-        bound is available."""
-        return None
+    def covering_number(self, delta):
+        """Exact minimal number of diameter-<=delta sets covering the space."""
+        raise NotImplementedError
 
     def descriptor(self):
         raise NotImplementedError
@@ -238,10 +252,10 @@ class IntervalSpace(MetricSpace):
         if not 0.0 < self.resolution < math.inf:
             raise ValidationError("interval field 'resolution' must be finite "
                                   f"and > 0, not {resolution!r}")
-        # the scan grid steps across [0, 1]
-        if not 0.0 < self.scan_resolution <= 1.0:
+        # the scan grid steps across [0, 1] in at most _BUDGET steps
+        if not 1.0 / _BUDGET <= self.scan_resolution <= 1.0:
             raise ValidationError("interval field 'scan_resolution' must be "
-                                  f"in (0, 1], not {scan_resolution!r}")
+                                  f"in [2^-20, 1], not {scan_resolution!r}")
         self.well_order = well_order
         if well_order not in (None, "coordinate"):
             raise ValidationError("interval well_order must be 'coordinate'")
@@ -282,7 +296,7 @@ class IntervalSpace(MetricSpace):
         delta = 1.0 / (2 * k)
         return delta, [(2 * i + 1) / (2.0 * k) for i in range(k)]
 
-    def covering_number_exact(self, delta):
+    def covering_number(self, delta):
         if delta >= 1.0:
             return 1
         return math.ceil(1.0 / delta - 1e-9)
@@ -367,7 +381,7 @@ class _PointSetSpace(MetricSpace):
     def covering(self, k):
         return _traversal_cover(self, "covering", self._points, k)
 
-    def covering_number_exact(self, delta):
+    def covering_number(self, delta):
         return _line_cover_count(self._points, delta)
 
 
@@ -406,9 +420,8 @@ class ConvergentSpace(_PointSetSpace):
     kind = "convergent"
 
     def __init__(self, n_max=100):
-        if n_max < 1:
-            raise ValidationError("need n_max >= 1")
-        self.n_max = int(n_max)
+        self.n_max = _count(n_max, "convergent field 'n_max'")
+        _within_budget(self.n_max + 1, "convergent field 'n_max'")
         self._points = [1.0 / n for n in range(1, self.n_max + 1)] + [0.0]
         self._pointset = set(self._points)
 
@@ -441,12 +454,16 @@ class ConvergentUnionSpace(_PointSetSpace):
     kind = "convergent_union"
 
     def __init__(self, branches):
-        self.branches = [(float(l), int(s), int(n)) for l, s, n in branches]
-        iso = []
-        for limit, sign, n_max in self.branches:
-            if sign not in (-1, 1):
+        self.branches = []
+        for limit, sign, n_max in branches:
+            if isinstance(sign, bool) or sign not in (-1, 1):
                 raise ValidationError("branch sign must be +-1")
-            iso.extend(limit + sign / n for n in range(1, n_max + 1))
+            self.branches.append((float(limit), int(sign), _count(
+                n_max, "convergent_union field 'branches' size")))
+        _within_budget(sum(n_max + 1 for *_, n_max in self.branches),
+                       "convergent_union field 'branches'")
+        iso = [limit + sign / n for limit, sign, n_max in self.branches
+               for n in range(1, n_max + 1)]
         self.limits = [b[0] for b in self.branches]
         self._points = sorted(set(iso) | set(self.limits))
         if len(self._points) != len(iso) + len(set(self.limits)):
@@ -469,7 +486,10 @@ class NestedConvergentSpace(_PointSetSpace):
     kind = "nested_convergent"
 
     def __init__(self, m_max=10, n_max=10):
-        self.m_max, self.n_max = int(m_max), int(n_max)
+        self.m_max = _count(m_max, "nested_convergent field 'm_max'")
+        self.n_max = _count(n_max, "nested_convergent field 'n_max'")
+        _within_budget(self.m_max * (self.n_max + 1) + 1,
+                       "nested_convergent fields 'm_max' and 'n_max'")
         self._mid = [1.0 / m for m in range(1, self.m_max + 1)]
         self._iso = [
             1.0 / m + 1.0 / (m * (m + 1) * n)
@@ -521,23 +541,20 @@ class TreeSpace(MetricSpace):
                  branch_cap=_BRANCH_CAP_DEFAULT):
         if not 0 < eps < 1:
             raise ValidationError("eps must be in (0,1)")
-        if (isinstance(depth, bool) or not isinstance(depth, numbers.Integral)
-                or depth < 1):
-            raise ValidationError(
-                f"tree field 'depth' must be an int >= 1, not {depth!r}")
         self.eps = float(eps)
-        self.depth = int(depth)
+        self.depth = _count(depth, "tree field 'depth'")
         self.b = b
         self.branch_cap = branch_cap
         self.branch_capped = False
         if branching is not None:
-            self.branching = [int(x) for x in branching]
+            self.branching = [_count(x, "tree field 'branching'", 2)
+                              for x in branching]
         elif b is not None:
             self.branching, self.branch_capped = uniform_tree_branching(
                 eps, b, self.depth, branch_cap)
         else:
             self.branching = [2] * self.depth
-        if len(self.branching) != self.depth or any(f < 2 for f in self.branching):
+        if len(self.branching) != self.depth:
             raise ValidationError("branching schedule must list >=2 per level")
 
     def validate_point(self, p):
@@ -599,7 +616,7 @@ class TreeSpace(MetricSpace):
         points = [self._leftmost_leaf(p) for p in self._node_paths(level)]
         return delta, points
 
-    def covering_number_exact(self, delta):
+    def covering_number(self, delta):
         if delta >= 1.0:
             return 1
         for j in range(1, self.depth + 1):
@@ -625,8 +642,27 @@ class TreeSpace(MetricSpace):
 def covering_oracle(space, k):
     if k < 1:
         raise ValidationError("covering budget must be >= 1")
-    delta, points = space.covering(k)
-    return delta, points
+    _within_budget(k, "covering")
+    return space.covering(k)
+
+
+def net_for_radius(space, radius):
+    """(points, delta, saturated): the covering of the smallest doubling
+    budget whose delta is <= radius, kept with the space.  saturated says
+    the net cannot refine: it is the whole space (delta 0), the covering
+    stopped growing, or the next budget would pass _BUDGET."""
+
+    def search():
+        k = 1
+        while True:
+            delta, points = covering_oracle(space, k)
+            if delta <= radius + _EPS:
+                return points, delta, delta <= 0.0
+            if len(points) < k or 2 * k > _BUDGET:
+                return points, delta, True
+            k *= 2
+
+    return space._cached(("net", radius), search)
 
 
 _MASK_CELLS = 1 << 16  # scan points x balls compared per numpy block
@@ -732,26 +768,10 @@ def cover_witnesses(space, anchor, balls, radius):
                                open_balls=True)
 
 
-@dataclass(frozen=True)
-class CoveringCount:
-    count: int
-    exact: bool
-
-
 def covering_number(space, delta):
     if delta <= 0:
         raise ValidationError("delta must be positive")
-    exact = space.covering_number_exact(delta)
-    if exact is not None:
-        return CoveringCount(exact, True)
-    k = 1
-    while True:
-        d, points = space.covering(k)
-        if d <= delta + _EPS:
-            return CoveringCount(len(points), False)
-        k *= 2
-        if k > 2 ** 24:
-            raise ResolutionError("covering number unavailable at this delta")
+    return space.covering_number(delta)
 
 
 @dataclass
@@ -773,17 +793,17 @@ def estimate_dimension(space, mode, delta_grid):
     table = []
     ys = []
     for d in grid:
-        cc = covering_number(space, d)
-        log_n = math.log(cc.count) if cc.count >= 1 else 0.0
+        count = covering_number(space, d)
+        log_n = math.log(count)
         if mode == "lcd":
-            if cc.count < 2:
+            if count < 2:
                 raise ValidationError("lcd mode needs N_delta >= 2 on the grid")
             y = math.log(log_n)
         else:
             y = log_n
         ys.append(y)
         table.append({
-            "delta": d, "count": cc.count, "exact": cc.exact,
+            "delta": d, "count": count,
             "statistic": y / math.log(1.0 / d) if d < 1 else float("nan"),
         })
     slopes = [

@@ -477,6 +477,8 @@ def test_simulate_ucb1_list_arms_are_tree_leaves(tmp_path, capsys):
 @pytest.mark.parametrize("field, value", [
     ("scan_resolution", 0), ("scan_resolution", -0.5),
     ("scan_resolution", math.nan), ("scan_resolution", 2.0),
+    # a scan grid of 10^12 steps, over the size budget of 2^20
+    ("scan_resolution", 1e-12),
     ("resolution", 0), ("resolution", -1.0), ("resolution", math.inf)])
 def test_simulate_interval_resolution_out_of_range_exits_1(tmp_path, capsys,
                                                            algorithm, field,
@@ -498,6 +500,55 @@ def test_simulate_tree_depth_must_be_a_positive_int(tmp_path, capsys, depth):
               "algorithm": {"name": "phased_ucb1"}, "horizon": 16, "seed": 0}
     assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
     assert "'depth'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space, field", [
+    ({"kind": "tree", "eps": 0.5, "depth": 2, "branching": [2.5, 3.7]},
+     "'branching'"),
+    ({"kind": "tree", "eps": 0.5, "depth": 2, "branching": [2, 1]},
+     "'branching'"),
+    ({"kind": "convergent", "n_max": 2.5}, "'n_max'"),
+    ({"kind": "convergent", "n_max": True}, "'n_max'"),
+    ({"kind": "nested_convergent", "m_max": 2.5}, "'m_max'"),
+    ({"kind": "nested_convergent", "m_max": 0}, "'m_max'"),
+    ({"kind": "nested_convergent", "n_max": -3}, "'n_max'"),
+    ({"kind": "convergent_union", "branches": [[0.0, 1, 2.5]]}, "'branches'"),
+    # point counts over the size budget of 2^20, refused before any list
+    ({"kind": "convergent", "n_max": 2 ** 20}, "budget"),
+    ({"kind": "nested_convergent", "m_max": 1024, "n_max": 1024}, "budget"),
+    ({"kind": "convergent_union", "branches": [[0.0, 1, 2 ** 19],
+                                               [2.0, -1, 2 ** 19]]},
+     "budget"),
+])
+def test_simulate_space_counts_must_be_ints_within_budget(tmp_path, capsys,
+                                                          space, field):
+    config = {"space": space,
+              "instance": {"kind": "constant", "space": space, "c": 0.5},
+              "algorithm": {"name": "phased_ucb1"}, "horizon": 16, "seed": 0}
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
+    assert field in capsys.readouterr().err
+
+
+def test_simulate_exponent_preset_over_the_size_budget_exits_1(tmp_path,
+                                                               capsys):
+    # phase 2 asks for a covering of k = 118,069,115,374 interval points
+    config = {"space": _INTERVAL, "instance": _PEAK,
+              "algorithm": {"name": "well_ordered_bandit",
+                            "f": "log_power:50"},
+              "horizon": 64, "seed": 0}
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
+    assert "budget" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("parallelism", ["1", "2"])
+def test_simulate_replicate_error_exit_code_ignores_parallelism(
+        tmp_path, capsys, parallelism):
+    config = {"space": _FINITE, "instance": _ARMS,
+              "algorithm": {"name": "ucb1", "arms": [0.0, 1.0]},
+              "mode": "full", "horizon": 16, "seed": 0}
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config),
+                     "--replicates", "2", "--parallelism", parallelism]) == 1
+    assert "'full'" in capsys.readouterr().err
 
 
 # SHA-256 of `banditlab forge --kind K --seed S` stdout, recorded before

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-import banditlab.bandits as bd
 import banditlab.experts as ex
 import banditlab.instances as inst
 import banditlab.spaces as sps
@@ -183,27 +182,17 @@ def test_maxminlcd_net_selection():
     assert j_big == 10 and len(net_big) == 512 and flag_big
 
 
-def _select_net_per_phase(session, T, budget=1, restart=False):
-    """_select_net searching every scale again in each phase, carrying the
-    doubling budget from scale to scale (or restarting it at k = 1)."""
-    limit = 2.0 ** math.sqrt(T)
-    floor = getattr(session.space, "scan_resolution", 0.0)
-    chosen = None
-    j = 0
+def _doubling_search(space, radius):
+    """The covering of the smallest doubling budget from k = 1 whose delta
+    is <= radius, as (points, delta, saturated)."""
+    k = 1
     while True:
-        if 0 < 2.0 ** -j < floor:
-            j, points, achieved, _ = chosen
-            return j, points, achieved, True
-        points, achieved, saturated, budget = bd._net_for_radius(
-            session.space, 2.0 ** -j, 1 if restart else budget)
-        if len(points) > limit:
-            if chosen is None:
-                return 0, points, achieved, True
-            return chosen
-        chosen = (j, points, achieved, False)
-        if saturated:
-            return j, points, achieved, True
-        j += 1
+        delta, points = sps.covering_oracle(space, k)
+        if delta <= radius + 1e-12:
+            return points, delta, delta <= 0.0
+        if len(points) < k or 2 * k > 2 ** 20:
+            return points, delta, True
+        k *= 2
 
 
 @pytest.mark.parametrize("space", [
@@ -212,10 +201,17 @@ def _select_net_per_phase(session, T, budget=1, restart=False):
                     depth_chain=[{"kind": "all"}]),
 ], ids=["interval", "finite"])
 def test_maxminlcd_net_selection_keeps_budget(monkeypatch, space):
-    """Over a run of phases, the session's nets kept by scale select the
-    same nets as searching every scale again per phase, with its budget
-    carried or restarted, and with fewer covering calls than either."""
+    """Over a run of phases, every net the session selects from is the one a
+    fresh doubling search finds at its scale, and the nets are kept with the
+    space: a second pass over the phases makes no covering call."""
     session = ex.MaxMinLCDExperts(space, 1.0)
+    picks = [session._select_net(2 ** i) for i in range(1, 17)]
+    kept = {key[1]: net for key, net in space._oracle_cache.items()
+            if isinstance(key, tuple) and key[0] == "net"}
+    assert sorted(kept, reverse=True) == [2.0 ** -j for j in range(len(kept))]
+    assert len(kept) > max(j for j, *_ in picks)
+    for radius, net in kept.items():
+        assert net == _doubling_search(space, radius)
     calls = []
     covering = sps.covering_oracle
 
@@ -224,19 +220,8 @@ def test_maxminlcd_net_selection_keeps_budget(monkeypatch, space):
         return covering(space, k)
 
     monkeypatch.setattr(sps, "covering_oracle", counted)
-    counts = {"kept": 0, "carried": 0, "restarted": 0}
-    for i in range(1, 17):
-        got = {}
-        for name, select in (
-                ("kept", session._select_net),
-                ("carried", lambda T: _select_net_per_phase(session, T)),
-                ("restarted", lambda T: _select_net_per_phase(
-                    session, T, restart=True))):
-            del calls[:]
-            got[name] = select(2 ** i)
-            counts[name] += len(calls)
-        assert got["kept"] == got["carried"] == got["restarted"]
-    assert counts["kept"] < counts["carried"] < counts["restarted"]
+    assert [session._select_net(2 ** i) for i in range(1, 17)] == picks
+    assert calls == []
 
 
 def test_maxminlcd_phase_bookkeeping():

@@ -256,6 +256,40 @@ def test_replicates_parallelism_invariant():
     assert np.array_equal(agg_seq.mean, agg_par.mean)
 
 
+def test_replicate_pool_starts_no_more_workers_than_it_can_use(monkeypatch):
+    """The pool is sized by seeds and CPUs, not by parallelism alone; a fake
+    pool that maps in process records the size, so no worker starts."""
+    sizes = []
+
+    class FakePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(hn, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(hn.os, "cpu_count", lambda: 4)
+    config = _arms_config(horizon=16)
+    serial, _ = hn.run_replicates(config, range(8), parallelism=1)
+    pooled, _ = hn.run_replicates(config, range(8), parallelism=1000)
+    hn.run_replicates(config, range(2), parallelism=1000)
+    hn.run_replicates(config, range(8), parallelism=3)
+    assert sizes == [4, 2, 3]
+    assert [t.rewards.tolist() for t in pooled] == [
+        t.rewards.tolist() for t in serial]
+    # an unknown CPU count counts as one CPU: serial, no pool
+    monkeypatch.setattr(hn.os, "cpu_count", lambda: None)
+    hn.run_replicates(config, range(2), parallelism=1000)
+    assert sizes == [4, 2, 3]
+
+
 def test_replicates_require_distinct_seeds():
     with pytest.raises(ValidationError):
         hn.run_replicates(_arms_config(horizon=8), [1, 1])
