@@ -3,13 +3,15 @@
 All algorithms are exposed as sessions with a uniform step API:
 choose() returns the next Action, observe(feedback) consumes the result.
 An action may stand for a block of rounds in which the algorithm does not
-adapt: a sweep point pulled n times, a commit tail, or a stretch that UCB1
-proves it plays whatever the rewards in [0, 1].  Sessions are
-deterministic given their RNG and replayable.
+adapt: a sweep point pulled n times, or a commit tail.  A UCB1 phase is
+one action that plays its own rounds: its `play` picks each round's arm
+and pulls it through the match's pulls.  Sessions are deterministic given
+their RNG and replayable.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -24,14 +26,24 @@ _POINT_BALL_RADIUS = 1e-15  # stands in for a closed ball of radius zero
 class Action:
     """Bet `bet` and query every point of `queries` for `rounds` rounds in a
     row.  The session is then sent the feedback of those rounds, added in
-    round order: in bandit mode the bet's rewards added onto `start`, in
-    experts mode the column sums of the query feedback from 0.0 as a
-    float64 array."""
+    round order from 0.0: in bandit mode the bet's rewards, in experts mode
+    the column sums of the query feedback as a float64 array.
+
+    A bandit action with `play` plays its own rounds: the match calls
+    play(pulls, t, n) for its rounds t..t+n-1, n at most `rounds` (which
+    is math.inf for a phase without end), and sends the session what it
+    returns.  In `pulls`, arm(x) is (pull, mean) of point x: pull is x's
+    reward as a Python float (never an int or a numpy scalar) when it is
+    constant, else the function of the round that returns it, and a pull
+    is told apart by `pull.__class__ is float`.  Whoever pulls writes each
+    round's reward, mean and bet into `rewards`, `means` and `bets` (None:
+    not recorded); block(x, t, n, start) plays and records x in rounds
+    t..t+n-1 and returns their rewards added in round order onto start."""
 
     bet: object
     queries: tuple = ()
     rounds: int = 1
-    start: float = 0.0
+    play: object = None
 
 
 class Session:
@@ -227,73 +239,88 @@ class CBBanditSession(PhasedExplSession):
 _MIN_BLOCK = 3  # a shorter block saves less than its proof costs
 
 
-def _ucb1(arms, rounds):
-    """UCB1 over arms for `rounds` rounds (None: without end).  Index rule:
-    mean + sqrt(2 ln t / n_j); each arm played once first; ties break to the
-    lowest arm id.  Python floats beat numpy on the few arms of a net.  Each
-    arm's one-round Action is built once, so a round allocates nothing.
+def _ucb1(arms, pulls, t, rounds):
+    """UCB1 over arms in rounds t..t+rounds-1 of a match, played through
+    `pulls` (see `Action`).  Index rule: mean + sqrt(2 ln p / n_j), p the
+    rounds the phase has played; each arm played once first; ties break to
+    the lowest arm id.  Python floats beat numpy on the few arms of a net.
+    Each arm's pull is resolved once: a round at a constant arm calls
+    nothing, any other calls the arm's pull, and the loop writes the
+    round's reward, mean and bet itself.
 
-    When the arm j of the last action wins round t again, the next n rounds
-    are one block if j provably wins each of them whatever its rewards: j's
-    lowest index over them, with no reward added, must beat every other
-    arm's highest, its bonus at round t + n - 1.  Rewards in [0, 1] never
-    lower a float sum, and `/`, `sqrt` and `math.log` of an int are
-    monotone, so the proof holds bit for bit.  The block is sent its rewards
-    added onto sums[j], the sum the rounds one by one would leave.  n starts
-    at twice the last block and halves until the proof holds; after failed
-    proofs the next 1, 3, 7, ... (at most 63) repeat wins try none."""
+    When the arm j of the last round wins again after p rounds, the next n
+    rounds are one block if j provably wins each of them whatever its
+    rewards: j's lowest index over them, with no reward added, must beat
+    every other arm's highest, its bonus at p + n - 1.  Rewards in [0, 1]
+    never lower a float sum, and `/`, `sqrt` and `math.log` of an int are
+    monotone, so the proof holds bit for bit.  `pulls.block` plays the
+    block and adds its rewards onto sums[j] as the rounds one by one would
+    add them.  n starts at twice the last block and halves until the proof
+    holds; after failed proofs the next 1, 3, 7, ... (at most 63) repeat
+    wins try none.  Returns None."""
     m = len(arms)
-    acts = [Action(x) for x in arms]
+    pull, mus = zip(*map(pulls.arm, arms))
+    reward_out, mean_out, bets = pulls.rewards, pulls.means, pulls.bets
     counts = [0.0] * m
     sums = [0.0] * m
     averages = [0.0] * m  # sums[i] / counts[i], kept up to date
     log, sqrt = math.log, math.sqrt
-    played = 0
-    last, k = -1, _MIN_BLOCK  # the last action's arm; the next block tried
+    ids, no_index = range(m), -math.inf
+    played, s = 0, t  # rounds played; the match round
+    last, k = -1, _MIN_BLOCK  # the last round's arm; the next block tried
     skip = wait = 0
-    while rounds is None or played < rounds:
+    while played < rounds:
         if played < m:
             j = played
         else:
             c = 2.0 * log(played)
-            j, best = 0, -math.inf
-            for i in range(m):
+            j, best = 0, no_index
+            for i in ids:
                 index = averages[i] + sqrt(c / counts[i])
                 if index > best:
                     j, best = i, index
-            if j == last and skip:
-                skip -= 1
-            elif j == last:
-                n = k if rounds is None else min(k, rounds - played)
-                c_end = 2.0 * log(played + n - 1)
-                low = sums[j] / (counts[j] + (n - 1))
-                low += sqrt(c / (counts[j] + (n - 1)))
-                for i in range(m):
-                    while i != j and n >= _MIN_BLOCK and not (
-                            low > averages[i] + sqrt(c_end / counts[i])):
-                        n //= 2
-                        low = sums[j] / (counts[j] + (n - 1))
-                        low += sqrt(c / (counts[j] + (n - 1)))
-                if n >= _MIN_BLOCK:
-                    k, wait = 2 * n, 0
-                    sums[j] = yield Action(arms[j], rounds=n, start=sums[j])
-                    counts[j] += n
-                    averages[j] = sums[j] / counts[j]
-                    played += n
-                    continue
-                k = _MIN_BLOCK
-                skip = wait = min(2 * wait + 1, 63)
-        reward = yield acts[j]
-        counts[j] += 1
+            if j == last:
+                if skip:
+                    skip -= 1
+                else:
+                    n = min(k, rounds - played)
+                    c_end = 2.0 * log(played + n - 1)
+                    low = sums[j] / (counts[j] + (n - 1))
+                    low += sqrt(c / (counts[j] + (n - 1)))
+                    for i in ids:
+                        while i != j and n >= _MIN_BLOCK and not (
+                                low > averages[i] + sqrt(c_end / counts[i])):
+                            n //= 2
+                            low = sums[j] / (counts[j] + (n - 1))
+                            low += sqrt(c / (counts[j] + (n - 1)))
+                    if n >= _MIN_BLOCK:
+                        k, wait = 2 * n, 0
+                        sums[j] = pulls.block(arms[j], s, n, sums[j])
+                        counts[j] += n
+                        averages[j] = sums[j] / counts[j]
+                        played += n
+                        s += n
+                        continue
+                    k = _MIN_BLOCK
+                    skip = wait = min(2 * wait + 1, 63)
+        reward = pull[j]
+        if reward.__class__ is not float:
+            reward = reward(s)
+        reward_out[s] = reward
+        mean_out[s] = mus[j]
+        if bets is not None:
+            bets.append(arms[j])
+        counts[j] += 1.0
         sums[j] += reward
         averages[j] = sums[j] / counts[j]
         played += 1
+        s += 1
         last = j
 
 
 class UCB1Session(Session):
-    """UCB1 over a fixed list of the space's points, without end.  Arms
-    given as lists are tree-space leaves (tuples)."""
+    """UCB1 over a fixed list of the space's points, without end: one
+    phase action.  Arms given as lists are tree-space leaves (tuples)."""
 
     name = "ucb1"
 
@@ -309,7 +336,8 @@ class UCB1Session(Session):
             raise ValidationError("field 'arms' needs at least one arm")
 
     def _run(self):
-        return _ucb1(self.arms, None)
+        yield Action(None, rounds=math.inf,
+                     play=functools.partial(_ucb1, self.arms))
 
 
 def _tstar(n_balls, eps):
@@ -318,9 +346,10 @@ def _tstar(n_balls, eps):
 
 class PhasedUCB1Session(Session):
     """Per-phase covering at radius 2^-k with a fresh UCB1 over the net
-    centers; phase lengths follow t_k = max(t*_k, t*_{k+1}, 2 sum of earlier
-    lengths) with t*_k = 2 N_k/eps_k^2 log(N_k/eps_k^2), so every phase is
-    long enough for its own net and the next one."""
+    centers, one action per phase; phase lengths follow t_k = max(t*_k,
+    t*_{k+1}, 2 sum of earlier lengths) with t*_k = 2 N_k/eps_k^2
+    log(N_k/eps_k^2), so every phase is long enough for its own net and
+    the next one."""
 
     name = "phased_ucb1"
 
@@ -348,7 +377,7 @@ class PhasedUCB1Session(Session):
                      "length": t_k, "start": rounds, "tstar": tstar_k,
                      "saturated": saturated}
             self.info["phases"].append(phase)
-            yield from _ucb1(net, t_k)
+            yield Action(None, rounds=t_k, play=functools.partial(_ucb1, net))
             rounds += t_k
             lengths.append(t_k)
             phase["s_k"] = rounds
@@ -380,8 +409,9 @@ class CompletionAdapterSession(Session):
     choice and feeds the inner session a 0/1 re-randomization of the
     observed reward, preserving its expectation.  The rounding depends on
     the round, so an inner block is played one round at a time; the inner
-    session is sent the block's bits added in round order onto its start.
-    `rounding` is "identity", "dyadic" or "dyadic:<levels>"."""
+    session is sent the block's bits added in round order.  An inner phase
+    becomes the adapter's phase, its pulls re-randomized.  `rounding` is
+    "identity", "dyadic" or "dyadic:<levels>"."""
 
     name = "completion_adapter"
 
@@ -406,13 +436,54 @@ class CompletionAdapterSession(Session):
         rounds = 0
         while True:
             action = self.inner.choose()
-            bits = action.start
-            for _ in range(action.rounds):
-                rounds += 1
-                reward = yield Action(self.rounding(action.bet, rounds))
-                bits += 1.0 if self.rng.random() < reward else 0.0
+            if action.play is not None:
+                bits = yield Action(None, rounds=action.rounds, play=(
+                    functools.partial(_Rerandomized.play, action.play,
+                                      self.rounding, self.rng)))
+                rounds += action.rounds
+            else:
+                bits = 0.0
+                for _ in range(action.rounds):
+                    rounds += 1
+                    reward = yield Action(self.rounding(action.bet, rounds))
+                    bits += 1.0 if self.rng.random() < reward else 0.0
             self.inner.observe(bits)
 
     def close(self):
         super().close()
         self.inner.close()
+
+
+class _Dropped:
+    """A sequence that drops what is written to it."""
+
+    def __setitem__(self, index, value):
+        pass
+
+
+class _Rerandomized:
+    """The pulls an adapter's inner phase plays through.  Round t of the
+    match is the adapter's round t + 1, as the adapter plays every round
+    from the first: arm x plays the rounded point through the match's
+    pulls, which record the round, and returns a 0/1 bit with the reward's
+    expectation.  What the inner phase records itself is dropped."""
+
+    rewards = means = _Dropped()
+    bets = None
+
+    def __init__(self, pulls, rounding, rng):
+        self.pulls, self.rounding, self.rng = pulls, rounding, rng
+
+    @staticmethod
+    def play(play, rounding, rng, pulls, t, n):
+        """An inner phase's play(pulls, t, n) in the adapter's rounds."""
+        return play(_Rerandomized(pulls, rounding, rng), t, n)
+
+    def arm(self, x):
+        return (lambda t: self.block(x, t, 1, 0.0)), 0.0
+
+    def block(self, x, t, n, start):
+        for s in range(t, t + n):
+            reward = self.pulls.block(self.rounding(x, s + 1), s, 1, 0.0)
+            start += 1.0 if self.rng.random() < reward else 0.0
+        return start

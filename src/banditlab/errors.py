@@ -2,6 +2,7 @@
 raise them for configs and descriptors."""
 
 import inspect
+import numbers
 
 
 class BanditLabError(Exception):
@@ -51,6 +52,14 @@ def known(d, keys, where):
     for key in d:
         if key not in keys:
             raise ValidationError(f"{where} has the unknown field {key!r}")
+
+
+def count(value, what, least=1):
+    """value as an int >= least; a bool or a non-int names what in an error."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least):
+        raise ValidationError(f"{what} must be an int >= {least}, not {value!r}")
+    return int(value)
 
 
 def build(cls, fields, where):

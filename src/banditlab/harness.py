@@ -4,16 +4,18 @@ A run is fully determined by (config, seed): instance noise comes from the
 stream [seed, 0] and algorithm randomness from [seed, 1], so the same seed
 exposes identical noise to every algorithm.  Every session yields Actions,
 blocks of rounds, and one loop plays them with the feedback sampler of the
-session's mode.  In bandit mode `_pull_sampler` draws the pulls from
-chunked uniforms, and an action's feedback is its rewards added in round
-order onto its `start`: a long Bernoulli block compares its rounds'
-uniforms with the mean in numpy, a sign-mixture pull reads its bet's terms,
-compiled once per match, and the uniforms left unread at the end are
-rewound.  In experts mode `_RoundSampler` samples a block in numpy with the
-bits and noise stream of its rounds, one matrix-vector product per
-distinct sign row.  Bernoulli query sums are integer counts, exact in any
-order, so each chunk adds its column totals; sign-mixture and noise-free
-sums keep the round-order accumulate.
+session's mode.  In bandit mode `_Pulls` resolves each point's pull once
+per match and stores the rewards and means; an action's feedback is its
+rewards added in round order.  A Bernoulli pull reads uniform t of chunked
+uniforms in round t, and a block of 32 rounds or more compares its rounds'
+uniforms with the mean in numpy; a sign-mixture pull adds its compiled
+terms, and the uniforms left unread at the end are rewound; a pull that
+draws nothing is a constant.  A UCB1 phase is one action that plays its
+own rounds through the same pulls.  In experts mode `_RoundSampler`
+samples a block in numpy with the bits and noise stream of its rounds, one
+matrix-vector product per distinct sign row.  Bernoulli query sums are
+integer counts, exact in any order, so each chunk adds its column totals;
+sign-mixture and noise-free sums keep the round-order accumulate.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import math
 import numbers
 import operator
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -233,19 +234,61 @@ class _RoundSampler:
 _NUMPY_BLOCK = 32  # a bandit block this long costs less in numpy than pulled
 
 
-def _pull_sampler(instance, rng, rewards):
-    """(pull(x, mu, t), block or None, rewind()) over the rounds of
-    `rewards`; pull is the reward of one `bandit_reward(x, rng)` at round t.
-    A Bernoulli pull reads one uniform, so round t reads uniform t of chunks
-    of `_CHUNK_CELLS`, as rng.random(c) is the stream of c single draws, and
-    block(mu, t, n, start) writes rounds t..t+n-1 into `rewards` in numpy and
-    returns them added in round order onto start.  Sign mixtures pull from
-    chunks of `_SIGN_CHUNK`; rewind() steps the generator back over the ones
-    left unread, so the stream ends where the pulls one by one leave it."""
-    if instance.uniformly_lipschitz:
-        return _sign_pulls(instance, rng)
-    if instance.noise == "none":
-        return (lambda x, mu, t: mu), None, lambda: None
+class _Pulls:
+    """The pulls of one bandit match, the `pulls` of `bandits.Action`: the
+    rewards of `bandit_reward(x, rng)`, written with the means into the
+    match's arrays through memoryviews, which store a Python float without
+    a numpy scalar.  arm(x) resolves x's (pull, mean) once per match, the
+    mean as a Python float: the pull is x's reward in every round as a
+    float when x draws nothing (noise "none", or a sign row without a
+    drawn sign), else the function of round t that returns it.  rewind()
+    ends the noise stream where the pulls one by one leave it."""
+
+    def __init__(self, instance, rng, rewards, means, bets):
+        self.rewards, self.means = memoryview(rewards), memoryview(means)
+        self.bets = bets
+        self._mean = instance.mean
+        self._arms = {}
+        self._numpy_block, self.rewind = None, lambda: None
+        if instance.uniformly_lipschitz:
+            self._pull_of, self.rewind = _sign_pulls(instance, rng)
+        elif instance.noise == "none":
+            self._pull_of = lambda _x, mu: mu
+        else:
+            self._pull_of, self._numpy_block = _bernoulli_pulls(
+                rng, rewards, means)
+
+    def arm(self, x):
+        entry = self._arms.get(x)
+        if entry is None:
+            # an int or a numpy scalar would not read as a constant pull
+            mu = float(self._mean(x))
+            pull = self._pull_of(x, mu)
+            entry = self._arms[x] = (
+                pull if callable(pull) else float(pull), mu)
+        return entry
+
+    def block(self, x, t, n, start):
+        pull, mu = self.arm(x)
+        if self.bets is not None:
+            self.bets.extend([x] * n)
+        if n >= _NUMPY_BLOCK and self._numpy_block is not None:
+            return self._numpy_block(mu, t, n, start)
+        reward_out, mean_out = self.rewards, self.means
+        for s in range(t, t + n):
+            reward_out[s] = reward = (
+                pull if pull.__class__ is float else pull(s))
+            mean_out[s] = mu
+            start += reward
+        return start
+
+
+def _bernoulli_pulls(rng, rewards, means):
+    """(pull_of(x, mu), block) over the rounds of `rewards`: a Bernoulli
+    pull reads uniform t of chunks of `_CHUNK_CELLS` in round t, as
+    rng.random(c) is the stream of c single draws, and block(mu, t, n,
+    start) writes rounds t..t+n-1 into `rewards` and `means` in numpy and
+    returns their rewards added in round order onto start."""
     u = uniform = None
     lo = hi = 0
 
@@ -255,10 +298,13 @@ def _pull_sampler(instance, rng, rewards):
         # a memoryview reads a Python float without a numpy scalar
         uniform, lo, hi = memoryview(u), t, t + len(u)
 
-    def pull(x, mu, t):
-        if t >= hi:
-            draw(t)
-        return 1.0 if uniform[t - lo] < mu else 0.0
+    def pull_of(_x, mu):
+        def pull(t):
+            if t >= hi:
+                draw(t)
+            return 1.0 if uniform[t - lo] < mu else 0.0
+
+        return pull
 
     def block(mu, t, n, start):
         s = t
@@ -269,17 +315,22 @@ def _pull_sampler(instance, rng, rewards):
             np.less(u[s - lo:stop - lo], mu, out=rewards[s:stop],
                     casting="unsafe")
             s = stop
+        means[t:t + n] = mu
         sums = np.concatenate(([start], rewards[t:t + n]))
         return float(np.add.accumulate(sums, out=sums)[-1])
 
-    return pull, block, lambda: None
+    return pull_of, block
 
 
 _SIGN_CHUNK = 1024  # uniforms per sign-mixture draw; the unread are rewound
 
 
 def _sign_pulls(instance, rng):
-    rows = {}  # bet -> its (value, p or None) terms, p the chance of +1
+    """(pull_of(x, mu), rewind()) of a sign mixture: x's pull adds its
+    (value, p) row to 1/2 in walk order, p the chance of a +1 sign, or None
+    for a sign that is always +1.  A row without p is constant; the others
+    draw their signs from chunks of `_SIGN_CHUNK` uniforms, and rewind()
+    steps the generator back over the ones left unread."""
     chunk = iter(())
 
     def stream():
@@ -290,24 +341,30 @@ def _sign_pulls(instance, rng):
 
     uniforms = stream()
 
-    def pull(x, mu, _t):
-        row = rows.get(x)
-        if row is None:
-            row = rows[x] = tuple(
-                (value, (1.0 + bias) / 2.0 if bias < 1.0 else None)
-                for _key, value, bias in instance.active_terms(x))
-        total = 0.5
-        for value, p in row:
-            if p is not None and not next(uniforms) < p:
-                value = -value
-            total += value
-        return total
+    def pull_of(x, _mu):
+        row = tuple((value, (1.0 + bias) / 2.0 if bias < 1.0 else None)
+                    for _key, value, bias in instance.active_terms(x))
+        if all(p is None for _value, p in row):
+            total = 0.5
+            for value, _p in row:
+                total += value
+            return total
+
+        def pull(_t):
+            total = 0.5
+            for value, p in row:
+                if p is not None and not next(uniforms) < p:
+                    value = -value
+                total += value
+            return total
+
+        return pull
 
     def rewind():
         # PCG64 advances modulo 2^128
         rng.bit_generator.advance(-operator.length_hint(chunk) % (1 << 128))
 
-    return pull, None, rewind
+    return pull_of, rewind
 
 
 # ---------------------------------------------------------------------------
@@ -368,52 +425,37 @@ def run_match(config, seed=None):
     rewards = np.empty(horizon)
     means = np.empty(horizon)
     actions = [] if config.record_actions else None
-    bandit = session.mode == "bandit"
-    if bandit:
-        pull, block, rewind = _pull_sampler(instance, inst_rng, rewards)
-        # a memoryview stores a Python float without a numpy scalar call
-        reward_out, mean_out = memoryview(rewards), memoryview(means)
+    if session.mode == "bandit":
+        pulls = _Pulls(instance, inst_rng, rewards, means, actions)
     else:
-        sampler = _RoundSampler(instance, inst_rng)
-    choose, observe, mean = session.choose, session.observe, instance.mean
+        pulls, sampler = None, _RoundSampler(instance, inst_rng)
+        mus = {}  # bet -> its mean, computed once per match
     try:
         t = 0
-        mus = {}  # bet -> its mean, computed once per match
         while t < horizon:
-            action = choose()
-            bet = action.bet
-            mu = mus.get(bet)
-            if mu is None:
-                mu = mus[bet] = mean(bet)
-            n = action.rounds
-            if n > horizon - t:
-                n = horizon - t
-            if not bandit:
+            action = session.choose()
+            n = min(action.rounds, horizon - t)
+            if action.play is not None:
+                feedback = action.play(pulls, t, n)
+            elif pulls is not None:
+                feedback = pulls.block(action.bet, t, n, 0.0)
+            else:
+                bet = action.bet
+                mu = mus.get(bet)
+                if mu is None:
+                    mu = mus[bet] = instance.mean(bet)
                 feedback, rewards[t:t + n] = sampler.rewards(
                     action.queries, bet, n)
                 means[t:t + n] = mu
-            elif n == 1:
-                reward_out[t] = reward = pull(bet, mu, t)
-                mean_out[t] = mu
-                feedback = action.start + reward
-            elif n < _NUMPY_BLOCK or block is None:
-                feedback = action.start
-                for s in range(t, t + n):
-                    reward_out[s] = reward = pull(bet, mu, s)
-                    mean_out[s] = mu
-                    feedback += reward
-            else:
-                feedback = block(mu, t, n, action.start)
-                means[t:t + n] = mu
-            if actions is not None:
-                actions.extend([bet] * n)
+                if actions is not None:
+                    actions.extend([bet] * n)
             t += n
             # a block cut by the horizon is not observed; one that ends at
             # it is, which records the session's next phase in info
             if n == action.rounds:
-                observe(feedback)
-        if bandit:
-            rewind()
+                session.observe(feedback)
+        if pulls is not None:
+            pulls.rewind()
     finally:
         session.close()
     return RegretTrace(
@@ -474,6 +516,9 @@ def run_replicates(config, seeds, parallelism=1):
     if workers <= 1:
         traces = [_replicate_worker(cd, s) for s in seeds]
     else:
+        # multiprocessing loads only when a pool starts
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             traces = list(pool.map(_replicate_worker, [cd] * len(seeds),
                                    seeds))

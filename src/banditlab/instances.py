@@ -23,7 +23,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces as sp
-from .errors import InvalidScheduleError, ValidationError, build, required
+from .errors import (InvalidScheduleError, ValidationError, build, count,
+                     required)
 
 
 def needle_eval(node, x, space):
@@ -337,9 +338,12 @@ class LineageInstance(_SignMixture):
         super().__init__(space)
         self.tree = tree
         self.gamma = gamma
-        self.depth_cap = depth_cap if depth_cap is not None else tree.depth_cap
-        if not 1 <= self.depth_cap <= tree.depth_cap:
-            raise ValidationError("depth_cap must be within the tree depth")
+        self.depth_cap = (tree.depth_cap if depth_cap is None else
+                          count(depth_cap, "lineage field 'depth_cap'"))
+        if not self.depth_cap <= tree.depth_cap:
+            raise ValidationError(
+                "lineage field 'depth_cap' must be at most the tree depth "
+                f"{tree.depth_cap}, not {depth_cap!r}")
         self.seed = seed
         self.lineage_rule = lineage
         if biases is not None:
@@ -548,7 +552,7 @@ class MaxMinLCDInstance(_SignMixture):
         if space.kind != "interval":
             raise ValidationError("recursive ball placement needs the interval")
         self.b = float(b)
-        self.depth_cap = int(depth_cap)
+        self.depth_cap = count(depth_cap, "maxminlcd field 'depth_cap'")
         self.seed = seed
         self.n_list = list(n_list) if n_list is not None else [3] * self.depth_cap
         if len(self.n_list) != self.depth_cap or any(n < 2 for n in self.n_list):
@@ -642,13 +646,17 @@ def instance_from_descriptor(d):
             fields[key] = _decode_point(fields[key])
     for key in ("seq", "centers"):
         if key in fields:
+            if not isinstance(fields[key], list):
+                raise ValidationError(f"{where} field {key!r} must be a list "
+                                      f"of points, not {fields[key]!r}")
             fields[key] = [_decode_point(p) for p in fields[key]]
     if kind == "lineage":
         if "tree" in fields:
             raise ValidationError(f"{where} has the unknown field 'tree'")
         fields["tree"] = sp.build_ball_tree(
             required(fields, "space", where),
-            required(fields, "tree_depth", where))
+            count(required(fields, "tree_depth", where),
+                  f"{where} field 'tree_depth'"))
         del fields["tree_depth"]
     if kind in ("noncompact", "maxminlcd"):
         if not fields.pop("guarantee_breaking", True) and kind == "noncompact":

@@ -21,19 +21,12 @@ from .errors import (
     UnsupportedCapabilityError,
     ValidationError,
     build,
+    count,
     required,
 )
 
 _EPS = 1e-12
 _BUDGET = 2 ** 20  # the most points any covering, scan grid or point set holds
-
-
-def _count(value, what, least=1):
-    """value as an int >= least; a bool or a non-int names what in an error."""
-    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-            or value < least):
-        raise ValidationError(f"{what} must be an int >= {least}, not {value!r}")
-    return int(value)
 
 
 def _within_budget(points, what):
@@ -103,6 +96,16 @@ class DepthLevel:
             raise ValidationError("depth level 'points' needs the field 'points'")
         if kind == "interval" and bounds is None:
             raise ValidationError("depth level 'interval' needs the field 'bounds'")
+        for name, value in (("points", points), ("bounds", bounds)):
+            if value is not None and not (
+                    isinstance(value, (list, tuple)) and all(
+                        isinstance(q, numbers.Real) and not isinstance(q, bool)
+                        for q in value)):
+                raise ValidationError(f"depth level field {name!r} must be "
+                                      f"a list of numbers, not {value!r}")
+        if bounds is not None and len(bounds) != 2:
+            raise ValidationError(
+                f"depth level field 'bounds' needs two numbers, not {bounds!r}")
         self.kind = kind
         self.points = list(points) if points is not None else None
         self.bounds = tuple(bounds) if bounds is not None else None
@@ -420,7 +423,7 @@ class ConvergentSpace(_PointSetSpace):
     kind = "convergent"
 
     def __init__(self, n_max=100):
-        self.n_max = _count(n_max, "convergent field 'n_max'")
+        self.n_max = count(n_max, "convergent field 'n_max'")
         _within_budget(self.n_max + 1, "convergent field 'n_max'")
         self._points = [1.0 / n for n in range(1, self.n_max + 1)] + [0.0]
         self._pointset = set(self._points)
@@ -458,7 +461,7 @@ class ConvergentUnionSpace(_PointSetSpace):
         for limit, sign, n_max in branches:
             if isinstance(sign, bool) or sign not in (-1, 1):
                 raise ValidationError("branch sign must be +-1")
-            self.branches.append((float(limit), int(sign), _count(
+            self.branches.append((float(limit), int(sign), count(
                 n_max, "convergent_union field 'branches' size")))
         _within_budget(sum(n_max + 1 for *_, n_max in self.branches),
                        "convergent_union field 'branches'")
@@ -486,8 +489,8 @@ class NestedConvergentSpace(_PointSetSpace):
     kind = "nested_convergent"
 
     def __init__(self, m_max=10, n_max=10):
-        self.m_max = _count(m_max, "nested_convergent field 'm_max'")
-        self.n_max = _count(n_max, "nested_convergent field 'n_max'")
+        self.m_max = count(m_max, "nested_convergent field 'm_max'")
+        self.n_max = count(n_max, "nested_convergent field 'n_max'")
         _within_budget(self.m_max * (self.n_max + 1) + 1,
                        "nested_convergent fields 'm_max' and 'n_max'")
         self._mid = [1.0 / m for m in range(1, self.m_max + 1)]
@@ -542,12 +545,12 @@ class TreeSpace(MetricSpace):
         if not 0 < eps < 1:
             raise ValidationError("eps must be in (0,1)")
         self.eps = float(eps)
-        self.depth = _count(depth, "tree field 'depth'")
+        self.depth = count(depth, "tree field 'depth'")
         self.b = b
         self.branch_cap = branch_cap
         self.branch_capped = False
         if branching is not None:
-            self.branching = [_count(x, "tree field 'branching'", 2)
+            self.branching = [count(x, "tree field 'branching'", 2)
                               for x in branching]
         elif b is not None:
             self.branching, self.branch_capped = uniform_tree_branching(

@@ -1,7 +1,9 @@
 """The bandit path from match to exported file, against the code it replaced.
 
-- UCB1: the index in Python floats against the numpy index with argmax,
-  with its proven blocks expanded round by round.
+- UCB1: the phase loop's index in Python floats against the numpy index
+  with argmax, played round by round, with the loop's proven blocks and
+  the sums they start from; and matches of the UCB1 sessions against the
+  per-round sessions that yielded one action per round.
 - Pulls: the chunked Bernoulli and sign-mixture samplers of `run_match`,
   numpy Bernoulli blocks included, against one `bandit_reward` per pull,
   in rewards, means and the noise stream's state.
@@ -14,6 +16,7 @@
 The references are the pre-change code, kept here.
 """
 
+import hashlib
 import itertools
 import json
 import math
@@ -27,7 +30,7 @@ import banditlab.harness as hn
 import banditlab.instances as inst
 import banditlab.spaces as sps
 from banditlab.errors import ValidationError
-from blocks import drive
+from blocks import Pulls, drive
 
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                      database=None)
@@ -54,35 +57,49 @@ def ref_ucb1(arms, rounds):
         played += 1
 
 
-def _play(gen, reward_of, horizon=math.inf):
-    """(the arm of every round, {round: (sums, counts) bits}) of up to
-    `horizon` rounds of a UCB1 generator.  reward_of(t, arm) answers round
-    t, and a block is sent its rewards added in round order onto its start;
-    a block the horizon cuts is not sent.  The state is read from the
-    suspended generator after each action it was sent."""
-    seq, states = [], {}
+class RecordedPulls(Pulls):
+    """`Pulls` over reward_of(t, arm), the reward of round t counted from
+    the phase's first round, that also record each block's first round,
+    length and start in `blocks`."""
+
+    def __init__(self, reward_of, first=0):
+        super().__init__(lambda t, action: reward_of(t - first, action.bet),
+                         [])
+        self.first = first
+        self.blocks = []
+
+    def block(self, x, t, n, start):
+        self.blocks.append((t - self.first, n, start))
+        return super().block(x, t, n, start)
+
+
+def _play(m, rounds, reward_of, first=0):
+    """(the arm of every round, the blocks) of a UCB1 phase over arms
+    0..m-1 that starts at round `first` of a match and plays `rounds`
+    rounds; every round's reward is written, by the loop or the block."""
+    pulls = RecordedPulls(reward_of, first)
+    assert bn._ucb1(list(range(m)), pulls, first, rounds) is None
+    assert pulls.rewards == {first + t: reward_of(t, arm)
+                             for t, arm in enumerate(pulls.bets)}
+    return pulls.bets, pulls.blocks
+
+
+def _ref_play(m, rounds, reward_of):
+    """ref_ucb1's arm in every round, and the round-order sum of the played
+    arm's rewards before each round."""
+    gen = ref_ucb1(list(range(m)), rounds)
+    seq, sums_before = [], []
+    sums = [0.0] * m
     action = next(gen)
-    try:
-        while len(seq) < horizon:
-            n = min(action.rounds, horizon - len(seq))
-            total = action.start
-            for _ in range(n):
-                total += reward_of(len(seq), action.bet)
-                seq.append(action.bet)
-            if n < action.rounds:
-                break
-            action = gen.send(total)
-            state = gen.gi_frame.f_locals
-            states[len(seq)] = (_bits(state["sums"]).tobytes(),
-                                _bits(state["counts"]).tobytes())
-    except StopIteration:
-        pass
-    return seq, states
-
-
-def _arm_sequence(gen, reward_of):
-    """Every arm the generator plays, a block expanded to its rounds."""
-    return _play(gen, reward_of)[0]
+    while True:
+        j = action.bet
+        sums_before.append(sums[j])
+        reward = reward_of(len(seq), j)
+        sums[j] += reward
+        seq.append(j)
+        if len(seq) == rounds:
+            return seq, sums_before
+        action = gen.send(reward)
 
 
 _REWARD = st.one_of(
@@ -108,23 +125,23 @@ def _ucb1_case(draw):
 @given(_ucb1_case())
 def test_ucb1_matches_numpy_index(case):
     m, rounds, reward_of = case
-    arms = list(range(m))
-    expected = _arm_sequence(ref_ucb1(arms, rounds), reward_of)
-    assert _arm_sequence(bn._ucb1(arms, rounds), reward_of) == expected
+    expected = _ref_play(m, rounds, reward_of)[0]
+    assert _play(m, rounds, reward_of)[0] == expected
     assert len(expected) == rounds
 
 
-def _assert_blocks_match_reference(m, rounds, horizon, reward_of):
-    """The block UCB1 plays ref_ucb1's arm in every round and, after every
-    action, holds the sums and counts bits ref_ucb1 holds after as many
-    rounds; returns the block UCB1's (arms, states)."""
-    arms = list(range(m))
-    seq, states = _play(bn._ucb1(arms, rounds), reward_of, horizon)
-    ref_seq, ref_states = _play(ref_ucb1(arms, rounds), reward_of, horizon)
+def _assert_blocks_match_reference(m, rounds, reward_of, first=0):
+    """The phase loop plays ref_ucb1's arm in every round, and each block
+    it proves starts from the bits of the sum ref_ucb1 holds for the arm
+    at that round; returns the loop's (arms, blocks)."""
+    seq, blocks = _play(m, rounds, reward_of, first)
+    ref_seq, ref_sums = _ref_play(m, rounds, reward_of)
     assert seq == ref_seq
-    assert len(seq) == min(horizon, rounds or math.inf)
-    assert states.items() <= ref_states.items()
-    return seq, states
+    for t, n, start in blocks:
+        assert n >= bn._MIN_BLOCK
+        assert set(seq[t:t + n]) == {seq[t]}
+        assert start.hex() == ref_sums[t].hex()
+    return seq, blocks
 
 
 @st.composite
@@ -133,24 +150,24 @@ def _block_case(draw):
     form: constant rewards (equal ones tie), rewards that switch per arm at
     one round (an arm that stops paying meets its blocks' worst case), or
     per-round rewards in [0, 1] from a seeded stream, 0/1 or fractional,
-    scaled per arm."""
+    scaled per arm.  The phase starts at a drawn round of the match."""
     m = draw(st.integers(1, 4))
-    rounds = draw(st.none() | st.integers(1, 3000))
-    horizon = draw(st.integers(1, 3000))
+    rounds = draw(st.integers(1, 3000))
+    first = draw(st.integers(0, 5000))
     scale = draw(st.lists(_REWARD, min_size=m, max_size=m))
     kind = draw(st.sampled_from(["constant", "switch", "bernoulli",
                                  "fraction"]))
     if kind == "constant":
-        return m, rounds, horizon, lambda t, arm: scale[arm]
+        return m, rounds, lambda t, arm: scale[arm], first
     if kind == "switch":
         after = draw(st.lists(_REWARD, min_size=m, max_size=m))
-        switch = draw(st.integers(0, horizon))
-        return m, rounds, horizon, lambda t, arm: (
-            scale[arm] if t < switch else after[arm])
-    u = np.random.default_rng(draw(st.integers(0, 2 ** 32))).random(horizon)
+        switch = draw(st.integers(0, rounds))
+        return m, rounds, lambda t, arm: (
+            scale[arm] if t < switch else after[arm]), first
+    u = np.random.default_rng(draw(st.integers(0, 2 ** 32))).random(rounds)
     if kind == "bernoulli":
-        return m, rounds, horizon, lambda t, arm: float(u[t] < scale[arm])
-    return m, rounds, horizon, lambda t, arm: float(u[t]) * scale[arm]
+        return m, rounds, lambda t, arm: float(u[t] < scale[arm]), first
+    return m, rounds, lambda t, arm: float(u[t]) * scale[arm], first
 
 
 @_SETTINGS
@@ -166,38 +183,35 @@ def test_ucb1_blocks_when_the_leader_stops_paying(m, switch):
     blocks after the switch get the zero rewards their proofs assume, so
     only the other arms' bonus growth over a block separates a proof from a
     wrong block."""
-    ends = _assert_blocks_match_reference(
-        m, None, 3000, lambda t, arm: float(arm == 0 and t < switch))[1]
-    assert any(b - a > 2 for a, b in itertools.pairwise(sorted(ends))
-               if a > switch)
+    blocks = _assert_blocks_match_reference(
+        m, 3000, lambda t, arm: float(arm == 0 and t < switch))[1]
+    assert any(n > 2 for t, n, _start in blocks if t > switch)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_ucb1_blocks_at_phase_cap_and_horizon_cut(m):
-    """Blocks end at a phase cap, and a horizon inside a block cuts it
-    unobserved; with two or more arms all tied, no arm wins twice in a row,
-    so every round is its own action."""
+    """A phase that ends inside a block the longer phase proves, at its
+    cap or at the horizon, which the match passes as the rounds to play,
+    cuts the block at its end; with two or more arms all tied, no arm wins
+    twice in a row, so no block forms."""
     means = [0.2, 0.8, 0.5][:m]
 
     def reward_of(t, arm):
         return means[arm]
 
-    ends = sorted(_assert_blocks_match_reference(m, None, 3000, reward_of)[1])
-    # a round where a block of more than 2 rounds starts
-    cut = next(a for a, b in itertools.pairwise(ends) if b - a > 2) + 1
-    for rounds, horizon in ((cut, 3000), (None, cut), (cut + 1, cut)):
-        _assert_blocks_match_reference(m, rounds, horizon, reward_of)
+    blocks = _assert_blocks_match_reference(m, 3000, reward_of)[1]
+    t, n, _start = next(b for b in blocks if b[1] > 2)
+    for rounds in (t + 1, t + 2, t + n - 1, t + n, t + n + 1):
+        _assert_blocks_match_reference(m, rounds, reward_of)
     if m > 1:
-        ties, ties_states = _assert_blocks_match_reference(
-            m, None, 300, lambda t, arm: 0.5)
-        assert len(ties_states) == len(ties)
+        assert _assert_blocks_match_reference(
+            m, 300, lambda t, arm: 0.5)[1] == []
 
 
 def test_ucb1_all_ties_play_lowest_arm():
-    arms = list(range(5))
-    seq = _arm_sequence(bn._ucb1(arms, 40), lambda t, arm: 0.5)
-    assert seq == _arm_sequence(ref_ucb1(arms, 40), lambda t, arm: 0.5)
-    assert seq[:10] == arms + arms
+    seq = _play(5, 40, lambda t, arm: 0.5)[0]
+    assert seq == _ref_play(5, 40, lambda t, arm: 0.5)[0]
+    assert seq[:10] == list(range(5)) * 2
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +236,8 @@ def ref_bandit_match(config):
     return np.array(rewards), np.array(means), inst_rng.bit_generator.state
 
 
-def _run_with_state(monkeypatch, config):
+def _match_with_states(monkeypatch, config):
+    """(trace, noise stream state, algorithm stream state) of run_match."""
     rngs = []
     materialize = hn._materialize
 
@@ -231,10 +246,18 @@ def _run_with_state(monkeypatch, config):
         rngs.append(out[2])
         return out
 
-    monkeypatch.setattr(hn, "_materialize", spy)
-    trace = hn.run_match(config)
-    monkeypatch.setattr(hn, "_materialize", materialize)
-    return trace, rngs[0].bit_generator.state
+    build = hn.build_algorithm
+
+    def build_spy(descriptor, space, rng):
+        rngs.append(rng)
+        return build(descriptor, space, rng)
+
+    with monkeypatch.context() as m:
+        m.setattr(hn, "_materialize", spy)
+        m.setattr(hn, "build_algorithm", build_spy)
+        trace = hn.run_match(config)
+    return (trace, rngs[-1].bit_generator.state,
+            rngs[0].bit_generator.state)
 
 
 def _bits(a):
@@ -243,7 +266,7 @@ def _bits(a):
 
 def _assert_same_pulls(monkeypatch, config):
     rewards, means, state = ref_bandit_match(config)
-    trace, trace_state = _run_with_state(monkeypatch, config)
+    trace, trace_state, _alg_state = _match_with_states(monkeypatch, config)
     assert np.array_equal(_bits(trace.rewards), _bits(rewards))
     assert np.array_equal(_bits(trace.means), _bits(means))
     assert trace_state == state
@@ -438,28 +461,23 @@ def test_horizon_cuts_match_per_round_session(monkeypatch, name):
     else:
         assert sweep_end < end
 
-    alg_rngs = []
-    build = hn.build_algorithm
-
-    def spy(descriptor, space, rng):
-        alg_rngs.append(rng)
-        return build(descriptor, space, rng)
-
-    monkeypatch.setattr(hn, "build_algorithm", spy)
     for horizon in cuts:
         rewards, means, info, inst_state, alg_state = ref_per_round_match(
             config(horizon))
-        trace, trace_state = _run_with_state(monkeypatch, config(horizon))
+        trace, trace_state, trace_alg_state = _match_with_states(
+            monkeypatch, config(horizon))
         assert np.array_equal(_bits(trace.rewards), _bits(rewards))
         assert np.array_equal(_bits(trace.means), _bits(means))
         assert trace.info == info
         assert trace_state == inst_state
-        assert alg_rngs[-1].bit_generator.state == alg_state
+        assert trace_alg_state == alg_state
 
 
 class _FixedBlocks(bn.Session):
     """Plays (point, rounds) or (point, rounds, start) blocks in a cycle and
-    records the feedback."""
+    records the feedback.  A block with a start is an action that plays
+    the block through the match's pulls from that start, as a UCB1 phase
+    plays its blocks."""
 
     def __init__(self, blocks):
         super().__init__()
@@ -469,8 +487,13 @@ class _FixedBlocks(bn.Session):
     def _run(self):
         while True:
             for x, n, *start in self.blocks:
-                self.feedback.append((yield bn.Action(
-                    x, rounds=n, start=start[0] if start else 0.0)))
+                action = bn.Action(x, rounds=n)
+                if start:
+                    def play(pulls, t, n, x=x, start=start[0]):
+                        return pulls.block(x, t, n, start)
+
+                    action = bn.Action(None, rounds=n, play=play)
+                self.feedback.append((yield action))
 
 
 @pytest.mark.parametrize("name", ["lineage", "phased_ucb1-bernoulli",
@@ -497,9 +520,10 @@ def test_bandit_block_feedback_is_round_order_sum(monkeypatch, name):
 @pytest.mark.parametrize("name", ["lineage", "phased_ucb1-bernoulli",
                                   "phased_ucb1-none"])
 def test_bandit_block_feedback_adds_onto_start(monkeypatch, name):
-    """A one-round action, a short block and blocks long enough for numpy
-    are each sent their rewards added one by one onto their start.  From
-    2^53 on, a reward of 1 added alone rounds away, but not within a sum."""
+    """A one-round block, a short block and blocks long enough for numpy,
+    each played by the pulls from its start, return their rewards added
+    one by one onto it.  From 2^53 on, a reward of 1 added alone rounds
+    away, but not within a sum."""
     blocks = [(0.1, 1, 2.5), (0.55, 7, 0.1),
               (0.9, hn._NUMPY_BLOCK + 9, 2.0 ** 53),
               (0.3, hn._NUMPY_BLOCK, 0.7)]
@@ -636,3 +660,143 @@ def test_trace_export_is_compact(tmp_path):
     text = path.read_text()
     assert "\n" not in text
     assert json.loads(text) == {"traces": [trace.to_payload()]}
+
+
+# ---------------------------------------------------------------------------
+# UCB1 phases against the per-round rule
+
+
+class PerRoundUCB1(bn.Session):
+    """UCB1Session before phase actions: `ref_ucb1`, one round per action."""
+
+    name = "ucb1"
+
+    def __init__(self, space, arms):
+        super().__init__()
+        self.arms = [tuple(x) if isinstance(x, list) else x for x in arms]
+
+    def _run(self):
+        return ref_ucb1(self.arms, None)
+
+
+class PerRoundPhasedUCB1(bn.Session):
+    """PhasedUCB1Session before phase actions: the same schedule and phase
+    records, each phase `ref_ucb1` over its net, one round per action."""
+
+    name = "phased_ucb1"
+
+    def __init__(self, space):
+        super().__init__()
+        self.space = space
+
+    def _run(self):
+        lengths, rounds, k = [], 0, 1
+        saturated = False
+        while True:
+            eps = 2.0 ** -k
+            if not saturated:
+                net, _delta, saturated = sps.net_for_radius(self.space, eps)
+                next_net = sps.net_for_radius(self.space, eps / 2.0)[0]
+            else:
+                next_net = net
+            tstar_k = bn._tstar(len(net), eps)
+            t_k = math.ceil(max(tstar_k, bn._tstar(len(next_net), eps / 2.0),
+                                2.0 * sum(lengths)))
+            phase = {"phase": k, "eps": eps, "net_size": len(net),
+                     "length": t_k, "start": rounds, "tstar": tstar_k,
+                     "saturated": saturated}
+            self.info["phases"].append(phase)
+            yield from ref_ucb1(net, t_k)
+            rounds += t_k
+            lengths.append(t_k)
+            phase["s_k"] = rounds
+            k += 1
+
+
+_PEAK_ARMS = [0.25, 0.5, 0.75]
+
+# name: (instance, algorithm, horizon).  Horizons at seed 3: ucb1-bernoulli
+# plays blocks of 48 rounds from round 4554, and 4570 cuts one; phased UCB1
+# plays blocks of 48, 96 and 32 rounds from rounds 46, 94 and 190 of its
+# first phase (rounds 0..221), and its second phase is rounds 222..3061.
+_PHASE_CONFIGS = {
+    "ucb1-bernoulli": (_arms("bernoulli"), {"name": "ucb1",
+                                            "arms": [0.0, 1.0]}, 6000),
+    "ucb1-bernoulli-block_cut": (_arms("bernoulli"), {
+        "name": "ucb1", "arms": [0.0, 1.0]}, 4570),
+    "ucb1-none": (_arms("none"), {"name": "ucb1", "arms": [0.0, 1.0]}, 3000),
+    "phased_ucb1-bernoulli-phase_end": (_peak(_INTERVAL),
+                                        {"name": "phased_ucb1"}, 3062),
+    "phased_ucb1-bernoulli-block_cut": (_peak(_INTERVAL),
+                                        {"name": "phased_ucb1"}, 200),
+    "phased_ucb1-none-phase_cut": (_peak(_INTERVAL, "none"),
+                                   {"name": "phased_ucb1"}, 3063),
+    # arms at every center: the favored 0.3 and 0.7 are constant
+    "noncompact": (_PULL_CONFIGS["noncompact"][0],
+                   _PULL_CONFIGS["noncompact"][1], 3000),
+    "lineage-phase_cut": (_PULL_CONFIGS["lineage"][0],
+                          {"name": "phased_ucb1"}, 4000),
+    "maxminlcd-phase_end": (_PULL_CONFIGS["maxminlcd"][0],
+                            {"name": "phased_ucb1"}, 3062),
+    "completion_adapter-ucb1": (_peak(_INTERVAL), {
+        "name": "completion_adapter", "rounding": "dyadic:2",
+        "inner": {"name": "ucb1", "arms": _PEAK_ARMS}}, 2000),
+    "completion_adapter-phased_ucb1": (_peak(_INTERVAL), {
+        "name": "completion_adapter", "rounding": "dyadic:20",
+        "inner": {"name": "phased_ucb1"}}, 1000),
+}
+
+# SHA-256 of each config's trace payload, recorded with the per-round loop
+_PHASE_DIGESTS = {
+    "ucb1-bernoulli":
+        "c34307bbdf36cb1e96400fc0521a874ef1656a262eb6b755876b3350f9a5abe3",
+    "ucb1-bernoulli-block_cut":
+        "a6fdc6c2d0eeae22ca32d6947326de7d8ea631328a5d92d804695935a35c7312",
+    "ucb1-none":
+        "e4ff7043765e397e36ae3b95e48f4a410aa8eb82b2a8ab8758758fa07de07a37",
+    "phased_ucb1-bernoulli-phase_end":
+        "f9615a9a9a49b2ed56a72ec22e2c1dd4461df27c622b9e03c4fd5b548d9146e5",
+    "phased_ucb1-bernoulli-block_cut":
+        "f3d25d6c63a8381bbec5daab50306a247247b39358d53e465b45f3507fc497fe",
+    "phased_ucb1-none-phase_cut":
+        "6b0bbbf86d2e914cec06219031fe5b955d8611baa5c4bac9a2b7d4f89a62a92b",
+    "noncompact":
+        "4980b19cdd7d46c014ccaa13b7ad8420df009e86b5d71d875356c860b0a7dd81",
+    "lineage-phase_cut":
+        "6ebb1742e1000c3ce689c3e745a9ba0958be58e2a11e76762310edfc1e275563",
+    "maxminlcd-phase_end":
+        "93a8b4b31b6bf6524475079eb9c4eb8f07da58b365a802fbf5abb6124f31d80c",
+    "completion_adapter-ucb1":
+        "545d44c60610d2ddf09366784f031d0bb9cf6ff2862bb611e6033fbce42a97a3",
+    "completion_adapter-phased_ucb1":
+        "d6ddb59b734beca044feddaf6dcab9d4fe966d8f3a614c37145789cf6c439373",
+}
+
+
+def _payload_digest(trace):
+    text = json.dumps(trace.to_payload(), sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", list(_PHASE_CONFIGS))
+def test_ucb1_phases_match_per_round_rule(monkeypatch, name):
+    """The sessions' UCB1 phases against the per-round sessions with the
+    numpy index, run by the same match loop: the same rewards, means, bets,
+    phase records and noise and algorithm stream states, and the payload
+    the per-round loop recorded."""
+    instance_d, algorithm, horizon = _PHASE_CONFIGS[name]
+    config = hn.ExperimentConfig(instance_d["space"], instance_d, algorithm,
+                                 horizon, seed=3, record_actions=True)
+    trace, inst_state, alg_state = _match_with_states(monkeypatch, config)
+    with monkeypatch.context() as m:
+        m.setitem(hn._ALGORITHMS, "ucb1", PerRoundUCB1)
+        m.setitem(hn._ALGORITHMS, "phased_ucb1", PerRoundPhasedUCB1)
+        ref, ref_inst_state, ref_alg_state = _match_with_states(
+            monkeypatch, config)
+    assert np.array_equal(_bits(trace.rewards), _bits(ref.rewards))
+    assert np.array_equal(_bits(trace.means), _bits(ref.means))
+    assert trace.actions == ref.actions
+    assert trace.info == ref.info
+    assert inst_state == ref_inst_state
+    assert alg_state == ref_alg_state
+    assert _payload_digest(trace) == _PHASE_DIGESTS[name]

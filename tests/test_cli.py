@@ -1,11 +1,16 @@
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import banditlab.cli as cli
 import banditlab.spaces as sps
+from test_acceptance import _golden_configs
 
 
 def _write(tmp_path, name, payload):
@@ -570,3 +575,126 @@ def test_forge_output_pinned(capsys, kind, seed):
     assert cli.main(["forge", "--kind", kind, "--seed", str(seed)]) == 0
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == _FORGE_DIGESTS[kind, seed]
+
+
+_LINEAGE = {"kind": "lineage", "space": _INTERVAL, "tree_depth": 3,
+            "gamma": 0.3, "seed": 0}
+_NONCOMPACT = {"kind": "noncompact", "space": _INTERVAL,
+               "centers": [0.1, 0.3, 0.5, 0.7, 0.9], "r": 0.05,
+               "sizes": [2, 3], "seed": 0}
+
+
+@pytest.mark.parametrize("instance, field", [
+    # the points and the ball tree are decoded before the instance is built
+    (dict(_NONCOMPACT, centers=0.5), "'centers'"),
+    (dict(_NONCOMPACT, centers=True), "'centers'"),
+    (dict(_LINEAGE, tree_depth="3"), "'tree_depth'"),
+    (dict(_LINEAGE, tree_depth=[3]), "'tree_depth'"),
+    (dict(_LINEAGE, tree_depth=3.5), "'tree_depth'"),
+    (dict(_LINEAGE, depth_cap=True), "'depth_cap'"),
+    # a fractional depth was truncated
+    ({"kind": "maxminlcd", "space": _INTERVAL, "depth_cap": 2.5},
+     "'depth_cap'"),
+    # depth-level points were read only when a round asked for a depth
+    ({"kind": "peak", "space": dict(_DECOMPOSED, depth_chain=[
+        {"kind": "all"}, {"kind": "points", "points": "x"}]),
+      "peak": 0.8, "slope": 1.0, "c": 0.9}, "'points'"),
+    ({"kind": "peak", "space": dict(_DECOMPOSED, depth_chain=[
+        {"kind": "all"}, {"kind": "interval", "bounds": [0.5]}]),
+      "peak": 0.8, "slope": 1.0, "c": 0.9}, "'bounds'"),
+])
+def test_simulate_instance_field_of_wrong_form_exits_1(tmp_path, capsys,
+                                                       instance, field):
+    algorithm = ({"name": "maxminlcd_experts", "b": 1.0}
+                 if "depth_chain" in instance["space"]
+                 else {"name": "phased_ucb1"})
+    config = {"space": instance["space"], "instance": instance,
+              "algorithm": algorithm, "horizon": 16, "seed": 0}
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("c", [1, 0, True])
+@pytest.mark.parametrize("algorithm", [
+    {"name": "ucb1", "arms": [0.0, 1.0]},
+    {"name": "well_ordered_bandit"},
+    {"name": "phased_ucb1"},
+    {"name": "completion_adapter", "inner": {"name": "ucb1",
+                                             "arms": [0.0, 1.0]}},
+])
+def test_simulate_noise_free_integer_mean(tmp_path, capsys, algorithm, c):
+    """Without noise a pull is the mean as the instance returns it; an int
+    mean is played as its float."""
+    space = sps.ConvergentSpace(100).descriptor()
+    config = {"space": space,
+              "instance": {"kind": "constant", "space": space, "c": c,
+                           "noise": "none"},
+              "algorithm": algorithm, "horizon": 64, "seed": 0}
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 0
+    assert "mean_regret=0.0000" in capsys.readouterr().out
+
+
+# ---------------------------------------------------------------------------
+# one-field mutations of the golden configs
+
+
+def _field_paths(value, prefix=()):
+    """The key or index path of every field of a config, nested ones and
+    list items included."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, item in items:
+        yield prefix + (key,)
+        yield from _field_paths(item, prefix + (key,))
+
+
+_MUTATIONS = {
+    "wrong type": lambda v: 1 if isinstance(v, str) else "x",
+    "zero": lambda v: 0,
+    "negative": lambda v: (-v if isinstance(v, (int, float))
+                           and not isinstance(v, bool) and v else -1),
+    "nan": lambda v: math.nan,
+    "inf": lambda v: math.inf,
+    "huge": lambda v: 1e300,
+    "bool": lambda v: True,
+    "list": lambda v: [v],
+}
+
+
+def _mutated(config, path, mutation):
+    config = copy.deepcopy(config)
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    if mutation == "dropped":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = _MUTATIONS[mutation](parent[path[-1]])
+    return config
+
+
+def test_simulate_survives_one_field_mutations(tmp_path):
+    """Each example mutates one field of every golden config, at a horizon
+    of 16: `simulate` exits 0, 1 or 2 and raises nothing."""
+    configs = [{"space": space_d, "instance": inst_d, "algorithm": alg_d,
+                "horizon": 16, "seed": 0}
+               for space_d, inst_d, alg_d, _horizon
+               in _golden_configs().values()]
+    path = tmp_path / "cfg.json"
+
+    @settings(max_examples=100, deadline=None, derandomize=True,
+              database=None)
+    @given(st.data())
+    def check(data):
+        for config in configs:
+            field = data.draw(st.sampled_from(list(_field_paths(config))))
+            mutation = data.draw(st.sampled_from(
+                ["dropped", *_MUTATIONS]))
+            # NaN and inf are written as the JSON extensions json.load reads
+            path.write_text(json.dumps(_mutated(config, field, mutation)))
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                code = cli.main(["simulate", str(path)])
+            assert code in (0, 1, 2), (field, mutation, code)
+
+    check()

@@ -1,3 +1,4 @@
+import concurrent.futures
 import gc
 import math
 import weakref
@@ -73,8 +74,9 @@ def test_record_actions():
 def _checked_actions(monkeypatch, config, cls=bd.Session):
     """The actions run_match(config) chose, after checking that choose()
     ran once per action and observe() once per completed one, and that
-    every round records the action's bet and, bit for bit, its mean.  The
-    steps are logged on `cls`, the class of the session run_match steps."""
+    every round records the action's bet, or the bet an action with `play`
+    recorded for it, and, bit for bit, its mean.  The steps are logged on
+    `cls`, the class of the session run_match steps."""
     log = []  # each action choose() returns; None for each observe()
     choose, observe = cls.choose, cls.observe
 
@@ -96,8 +98,12 @@ def _checked_actions(monkeypatch, config, cls=bd.Session):
     assert (ends[:-1] < trace.horizon).all() and ends[-1] >= trace.horizon
     # the last action is observed only when it ends at the horizon
     assert len(log) == 2 * len(chosen) - (ends[-1] > trace.horizon)
-    bets = [a.bet for a in chosen for _ in range(a.rounds)]
-    assert trace.actions == bets[:trace.horizon]
+    bets = []
+    for a in chosen:
+        n = min(a.rounds, trace.horizon - len(bets))
+        bets += (trace.actions[len(bets):len(bets) + n] if a.play
+                 else [a.bet] * n)
+    assert trace.actions == bets
     instance = inst.instance_from_descriptor(config.instance)
     means = np.array([instance.mean(x) for x in trace.actions])
     assert trace.means.tobytes() == means.tobytes()
@@ -105,20 +111,36 @@ def _checked_actions(monkeypatch, config, cls=bd.Session):
 
 
 def test_run_loop_contract_one_round_actions(monkeypatch):
-    # the completion adapter plays UCB1's blocks one round at a time
+    # the completion adapter plays its inner session's blocks one round at
+    # a time, and an inner UCB1 phase as one action
     config = _arms_config(horizon=300, record_actions=True)
     config.algorithm = {"name": "completion_adapter", "rounding": "identity",
-                        "inner": config.algorithm}
+                        "inner": {"name": "well_ordered_bandit"}}
     chosen = _checked_actions(monkeypatch, config, bd.CompletionAdapterSession)
     assert {a.rounds for a in chosen} == {1}
+    config.algorithm["inner"] = _arms_config().algorithm
+    chosen = _checked_actions(monkeypatch, config, bd.CompletionAdapterSession)
+    assert len(chosen) == 1 and chosen[0].play is not None
 
 
 @pytest.mark.parametrize("seed", [0, 1])
 def test_ucb1_plays_its_rounds_in_few_actions(monkeypatch, seed):
-    # the benchmark's ucb1 config: UCB1 repeats the better arm over long
-    # stretches that its proofs turn into blocks
+    # the benchmark's ucb1 config: UCB1 without end is one phase, which
+    # repeats the better arm over long stretches that its proofs turn into
+    # blocks, so it plays few blocks and single rounds
+    blocks = []
+    block = hn._Pulls.block
+
+    def logged_block(self, x, t, n, start):
+        blocks.append(n)
+        return block(self, x, t, n, start)
+
+    monkeypatch.setattr(hn._Pulls, "block", logged_block)
     config = _arms_config(horizon=2 ** 16, seed=seed, record_actions=True)
-    assert len(_checked_actions(monkeypatch, config)) <= 5000
+    chosen = _checked_actions(monkeypatch, config)
+    assert len(chosen) == 1 and chosen[0].play is not None
+    assert chosen[0].rounds == math.inf
+    assert len(blocks) + config.horizon - sum(blocks) <= 5000
 
 
 def test_run_loop_contract_blocks(monkeypatch):
@@ -205,7 +227,9 @@ def test_expert_mode_trace():
      {"name": "phased_ucb1"}),
     (sps.IntervalSpace(well_order="coordinate"),
      {"name": "completion_adapter", "inner": {"name": "well_ordered_bandit"}}),
-], ids=["session", "completion_adapter"])
+    (sps.IntervalSpace(well_order="coordinate"),
+     {"name": "completion_adapter", "inner": {"name": "phased_ucb1"}}),
+], ids=["session", "completion_adapter", "completion_adapter_phase"])
 def test_finished_match_frees_session_and_space(monkeypatch, space, algorithm):
     """A finished match leaves no reference cycle, so the session, the space
     and its oracle caches go at once, not at the next cycle collection."""
@@ -274,7 +298,7 @@ def test_replicate_pool_starts_no_more_workers_than_it_can_use(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(hn, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(hn.os, "cpu_count", lambda: 4)
     config = _arms_config(horizon=16)
     serial, _ = hn.run_replicates(config, range(8), parallelism=1)

@@ -1,10 +1,15 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and the
+package loads no process pool until one starts.
 
-`__init__.py` is left out: its imports are the package's exports.
+`__init__.py` is left out of the first check: its imports are the
+package's exports.
 """
 
 import ast
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -41,3 +46,15 @@ def test_checker_finds_unused_imports():
 @pytest.mark.parametrize("path", _MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def test_import_loads_no_process_pool():
+    """`multiprocessing` loads only when `run_replicates` starts a pool, so
+    a serial run and every other command go without it."""
+    code = ("import sys, banditlab, banditlab.cli; "
+            "print('concurrent.futures.process' in sys.modules)")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(_PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
