@@ -38,7 +38,9 @@ class Action:
     is told apart by `pull.__class__ is float`.  Whoever pulls writes each
     round's reward, mean and bet into `rewards`, `means` and `bets` (None:
     not recorded); block(x, t, n, start) plays and records x in rounds
-    t..t+n-1 and returns their rewards added in round order onto start."""
+    t..t+n-1 and returns their rewards added in round order onto start.
+    cycle(xs, t, n), asked only of points whose pulls are all constant,
+    plays and records xs[i mod m] in round t + i of rounds t..t+n-1."""
 
     bet: object
     queries: tuple = ()
@@ -239,6 +241,39 @@ class CBBanditSession(PhasedExplSession):
 _MIN_BLOCK = 3  # a shorter block saves less than its proof costs
 
 
+def _round_robin(pull, rounds):
+    """Whether UCB1 over m arms with the pulls `pull` plays arm p mod m in
+    each of its rounds p < rounds, as the index rule round by round would.
+    Proven once, for every round, when every pull is one float c, bit for
+    bit (0.0 and -0.0 differ), and K = ceil(rounds / m) bounds every count:
+
+    (a) c = a / 2^e in lowest terms with bit_length(a) + bit_length(K + 1)
+        <= 53, so every sum k c is exact and every average is exactly c;
+    (b) an arm of count n then beats one of count n + 1 in round p: their
+        indices c + sqrt(L / n) and c + sqrt(L / (n + 1)), L = 2 ln p,
+        differ by g = sqrt(L) / (sqrt n sqrt(n + 1) (sqrt n + sqrt(n + 1)))
+        in reals, and the float `/`, `sqrt` and `+` move them apart by less
+        than 2^-50 (|c| + sqrt(L / n)).  g less that margin only shrinks
+        as n grows or L falls, and `math.log` of an int is monotone, so it
+        is checked, with twice the margin, at n = K and the L of the first
+        compared round p = m (a single arm compares nothing).
+
+    Ties then go to the lowest id, so each cycle plays the arms in order."""
+    c = pull[0]
+    if (any(p.__class__ is not float for p in pull)
+            or len({p.hex() for p in pull}) > 1):
+        return False
+    m = len(pull)
+    most = -(-rounds // m)
+    root = math.sqrt(2.0 * math.log(max(m, 2)))
+    low, high = math.sqrt(most), math.sqrt(most + 1)
+    gap = root / (low * high * (low + high))
+    # (b) first: it is false for an infinite or NaN c
+    return (gap > 2.0 ** -49 * (abs(c) + root / low)
+            and (c.as_integer_ratio()[0].bit_length()
+                 + (most + 1).bit_length() <= 53))
+
+
 def _ucb1(arms, pulls, t, rounds):
     """UCB1 over arms in rounds t..t+rounds-1 of a match, played through
     `pulls` (see `Action`).  Index rule: mean + sqrt(2 ln p / n_j), p the
@@ -247,6 +282,10 @@ def _ucb1(arms, pulls, t, rounds):
     Each arm's pull is resolved once: a round at a constant arm calls
     nothing, any other calls the arm's pull, and the loop writes the
     round's reward, mean and bet itself.
+
+    When every arm pays one constant that `_round_robin` proves round
+    robin for the whole phase, as on the plateau of a lower-bound
+    instance, `pulls.cycle` writes the phase at once and no round runs.
 
     When the arm j of the last round wins again after p rounds, the next n
     rounds are one block if j provably wins each of them whatever its
@@ -260,6 +299,9 @@ def _ucb1(arms, pulls, t, rounds):
     wins try none.  Returns None."""
     m = len(arms)
     pull, mus = zip(*map(pulls.arm, arms))
+    if _round_robin(pull, rounds):
+        pulls.cycle(arms, t, rounds)
+        return
     reward_out, mean_out, bets = pulls.rewards, pulls.means, pulls.bets
     counts = [0.0] * m
     sums = [0.0] * m

@@ -15,12 +15,13 @@ import sys
 import numpy as np
 
 from . import harness, instances, spaces, verify
-from .errors import BanditLabError, ValidationError
+from .errors import BanditLabError, ValidationError, count
 
 
 def _cmd_simulate(args):
     config = harness.ExperimentConfig.from_dict(harness.load_json(args.config))
-    seeds = [config.seed + i for i in range(args.replicates)]
+    seeds = [config.seed + i
+             for i in range(count(args.replicates, "'--replicates'"))]
     traces, agg = harness.run_replicates(config, seeds, args.parallelism)
     if args.out:
         if args.out.endswith(".csv"):

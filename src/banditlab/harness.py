@@ -11,11 +11,13 @@ uniforms in round t, and a block of 32 rounds or more compares its rounds'
 uniforms with the mean in numpy; a sign-mixture pull adds its compiled
 terms, and the uniforms left unread at the end are rewound; a pull that
 draws nothing is a constant.  A UCB1 phase is one action that plays its
-own rounds through the same pulls.  In experts mode `_RoundSampler`
-samples a block in numpy with the bits and noise stream of its rounds, one
-matrix-vector product per distinct sign row.  Bernoulli query sums are
-integer counts, exact in any order, so each chunk adds its column totals;
-sign-mixture and noise-free sums keep the round-order accumulate.
+own rounds through the same pulls, or writes them at once when all its
+arms pay one constant that UCB1 provably plays round robin.  In experts
+mode `_RoundSampler` samples a block in numpy with the bits and noise
+stream of its rounds, one matrix-vector product per distinct sign row.
+Bernoulli query sums are integer counts, exact in any order, so each
+chunk adds its column totals; sign-mixture and noise-free sums keep the
+round-order accumulate.
 """
 
 from __future__ import annotations
@@ -27,12 +29,13 @@ import math
 import numbers
 import operator
 import os
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import bandits, experts, instances, spaces as sp
-from .errors import ValidationError, build, known, required
+from .errors import ValidationError, build, count, known, required
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +244,8 @@ class _Pulls:
     a numpy scalar.  arm(x) resolves x's (pull, mean) once per match, the
     mean as a Python float: the pull is x's reward in every round as a
     float when x draws nothing (noise "none", or a sign row without a
-    drawn sign), else the function of round t that returns it.  rewind()
+    drawn sign), else the function of round t that returns it.  cycle()
+    writes a round robin of constant pulls as array repeats.  rewind()
     ends the noise stream where the pulls one by one leave it."""
 
     def __init__(self, instance, rng, rewards, means, bets):
@@ -281,6 +285,14 @@ class _Pulls:
             mean_out[s] = mu
             start += reward
         return start
+
+    def cycle(self, xs, t, n):
+        pull, mus = zip(*map(self.arm, xs))
+        laps = -(-n // len(xs))
+        self.rewards[t:t + n] = (array("d", pull) * laps)[:n]
+        self.means[t:t + n] = (array("d", mus) * laps)[:n]
+        if self.bets is not None:
+            self.bets.extend((list(xs) * laps)[:n])
 
 
 def _bernoulli_pulls(rng, rewards, means):
@@ -512,7 +524,8 @@ def run_replicates(config, seeds, parallelism=1):
     if len(set(seeds)) != len(seeds):
         raise ValidationError("replicate seeds must be distinct")
     cd = config.to_dict()
-    workers = min(parallelism, len(seeds), os.cpu_count() or 1)
+    workers = min(count(parallelism, "'parallelism'"), len(seeds),
+                  os.cpu_count() or 1)
     if workers <= 1:
         traces = [_replicate_worker(cd, s) for s in seeds]
     else:

@@ -9,8 +9,11 @@ construction, into a forest of `_Term`s: signed, plateaued bumps on nested
 balls whose siblings are disjoint, each with its own key and sign bias.
 `term_table` compiles a point list into arrays that give the means of all
 of them, in one walk down that forest that takes each term's points
-together, and `table_round` samples rounds of them at once: it is the one
-sign sampler of `bandit_reward`, `monte_carlo_mean` and certification.
+together, and `table_round` samples rounds of them at once: it is the sign
+sampler of `bandit_reward`, `monte_carlo_mean` and certification.  A
+match's sign pulls go through `harness._sign_pulls` instead, which adds
+each point's compiled row over chunked uniforms; `table_round`, through
+`bandit_reward`, is the reference they are tested against.
 `_chain` walks the forest for one point, and `active_terms` reads that
 walk afresh on every call; the instance keeps no walk.
 """
@@ -301,18 +304,27 @@ class ArmsInstance(PayoffInstance):
 # needle lineage on a ball tree
 
 
-def _lineage_deltas(tree, gamma, depth_cap):
+def _min_radii(tree, depth_cap):
+    """r*_i, the smallest radius at depth i, for i = 1..depth_cap, in one
+    walk of the tree."""
+    r_star = [math.inf] * depth_cap
+    for node, depth in tree.nodes():
+        if 0 < depth <= depth_cap and node.radius < r_star[depth - 1]:
+            r_star[depth - 1] = node.radius
+    if math.inf in r_star:
+        raise ValidationError(
+            f"the ball tree has no node at depth {r_star.index(math.inf) + 1}")
+    return r_star
+
+
+def _lineage_deltas(r_star, gamma):
     """Per-depth biases delta_i = n_i^{-1/2} with n_i the least n such that
     n^gamma < (1/(8i)) r*_i sqrt(n) for all larger n, where r*_i is the
     smallest radius at depth i.  Validated by scanning past the threshold."""
     if not 0 < gamma < 0.5:
         raise ValidationError("gamma must be in (0, 1/2) for a finite threshold")
     deltas = []
-    r_star = []
-    for i in range(1, depth_cap + 1):
-        radii = [n.radius for n in tree.level(i)]
-        r_i = min(radii)
-        r_star.append(r_i)
+    for i, r_i in enumerate(r_star, 1):
         bound = 8.0 * i / r_i
         if math.log(bound) / (0.5 - gamma) > 700.0:  # 10 n_i overflows
             raise InvalidScheduleError(f"depth-{i} threshold past float range")
@@ -322,7 +334,7 @@ def _lineage_deltas(tree, gamma, depth_cap):
             if not n ** gamma < (r_i / (8.0 * i)) * math.sqrt(n) * (1 + 1e-9):
                 raise InvalidScheduleError("bias threshold scan failed")
         deltas.append(n_i ** -0.5)
-    return deltas, r_star
+    return deltas
 
 
 class LineageInstance(_SignMixture):
@@ -346,14 +358,13 @@ class LineageInstance(_SignMixture):
                 f"{tree.depth_cap}, not {depth_cap!r}")
         self.seed = seed
         self.lineage_rule = lineage
+        self.r_star = _min_radii(tree, self.depth_cap)
         if biases is not None:
             if len(biases) != self.depth_cap:
                 raise ValidationError("one bias per depth required")
             self.deltas = [float(b) for b in biases]
-            self.r_star = [min(n.radius for n in tree.level(i))
-                           for i in range(1, self.depth_cap + 1)]
         else:
-            self.deltas, self.r_star = _lineage_deltas(tree, gamma, self.depth_cap)
+            self.deltas = _lineage_deltas(self.r_star, gamma)
         if any(not 0 <= d <= 1 for d in self.deltas):
             raise ValidationError("biases must lie in [0,1]")
         self._choice = self._pick_lineage()

@@ -71,9 +71,6 @@ class BallTree:
             for child in reversed(node.children):
                 stack.append((child, depth + 1))
 
-    def level(self, depth):
-        return [n for n, d in self.nodes() if d == depth]
-
     def node_count(self):
         return sum(1 for _ in self.nodes())
 
@@ -399,6 +396,8 @@ class FiniteSpace(_PointSetSpace):
         if len(set(coords)) != len(coords):
             raise ValidationError("finite space points must be distinct")
         self.coords = self._points = [float(c) for c in coords]
+        if not all(map(math.isfinite, self.coords)):
+            raise ValidationError("finite space points must be finite")
         self._pointset = set(self._points)
         self._order = {c: i for i, c in enumerate(self.coords)}
         _attach_depth(self, depth_chain, depth_dimension)

@@ -302,6 +302,9 @@ def _golden_configs():
             "noise": "bernoulli"}
     union_peak = {"kind": "peak", "space": union, "peak": 0.0,
                   "slope": 0.25, "c": 0.9, "noise": "bernoulli"}
+    three = sps.FiniteSpace([0.0, 0.5, 1.0]).descriptor()
+    tied = {"kind": "arms", "space": three, "means": [0.5] * 3,
+            "noise": "none"}
     return {
         "ucb1": (finite, arms, {"name": "ucb1", "arms": [0.0, 1.0]}, 512),
         "well_ordered_bandit": (convergent, convergent_peak,
@@ -325,6 +328,11 @@ def _golden_configs():
                               {"name": "phased_ucb1"}, 512),
         "naive_experts_union": (union, union_peak,
                                 {"name": "naive_experts", "b": 1.0}, 256),
+        # noise-free pulls: UCB1's tied constant arms and the experts block
+        "ucb1_noise_free": (three, tied, {"name": "ucb1",
+                                          "arms": [0.0, 0.5, 1.0]}, 512),
+        "naive_experts_noise_free": (three, tied, {"name": "naive_experts",
+                                                   "b": 1.0}, 256),
         # sign-mixture sampling: bandit_reward and the experts sampler
         **{f"{alg['name']}_{kind}": (plain, desc, alg, 256)
            for kind, desc in _sign_mixtures(plain).items()

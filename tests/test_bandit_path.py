@@ -714,6 +714,21 @@ class PerRoundPhasedUCB1(bn.Session):
 
 
 _PEAK_ARMS = [0.25, 0.5, 0.75]
+_THREE = sps.FiniteSpace([0.0, 0.5, 1.0]).descriptor()
+_TIED_UCB1 = {"name": "ucb1", "arms": _THREE["coords"]}
+
+
+def _tied(mean):
+    """Three noise-free arms, all with the constant pull `mean`."""
+    return {"kind": "arms", "space": _THREE, "means": [mean] * 3,
+            "noise": "none"}
+
+
+# 512 rounds of three arms: each count reaches 171, and 172 has 8 bits, so
+# a constant whose odd part has 45 bits is the largest the closed form
+# takes (45 + 8 = 53), and one of 46 bits is played by the loop
+_AT_BOUND = (2 ** 44 + 1) / 2 ** 45
+_PAST_BOUND = (2 ** 45 + 1) / 2 ** 46
 
 # name: (instance, algorithm, horizon).  Horizons at seed 3: ucb1-bernoulli
 # plays blocks of 48 rounds from round 4554, and 4570 cuts one; phased UCB1
@@ -738,6 +753,18 @@ _PHASE_CONFIGS = {
                           {"name": "phased_ucb1"}, 4000),
     "maxminlcd-phase_end": (_PULL_CONFIGS["maxminlcd"][0],
                             {"name": "phased_ucb1"}, 3062),
+    # every pull of phases 2 (2 arms) and 3 (4 arms) is 0.5, and the
+    # horizon cuts phase 3 in its 51st cycle
+    "maxminlcd-tied_cycle_cut": (_PULL_CONFIGS["maxminlcd"][0],
+                                 {"name": "phased_ucb1"}, 3062 + 4 * 50 + 3),
+    "ucb1-tied": (_tied(0.5), _TIED_UCB1, 512),
+    # multiples of 0.9 are not all exact: the loop plays the phase
+    "ucb1-tied_inexact": (_tied(0.9), _TIED_UCB1, 512),
+    "ucb1-tied_at_bound": (_tied(_AT_BOUND), _TIED_UCB1, 512),
+    "ucb1-tied_past_bound": (_tied(_PAST_BOUND), _TIED_UCB1, 512),
+    # 0.0 and -0.0 are equal but not the same pull
+    "ucb1-signed_zeros": ({**_tied(0.0), "means": [0.0, -0.0, 0.0]},
+                          _TIED_UCB1, 512),
     "completion_adapter-ucb1": (_peak(_INTERVAL), {
         "name": "completion_adapter", "rounding": "dyadic:2",
         "inner": {"name": "ucb1", "arms": _PEAK_ARMS}}, 2000),
@@ -766,6 +793,18 @@ _PHASE_DIGESTS = {
         "6ebb1742e1000c3ce689c3e745a9ba0958be58e2a11e76762310edfc1e275563",
     "maxminlcd-phase_end":
         "93a8b4b31b6bf6524475079eb9c4eb8f07da58b365a802fbf5abb6124f31d80c",
+    "maxminlcd-tied_cycle_cut":
+        "c052375a1813ad8960ed7214be0ef7ac692129f3767e8b5b3e02738e25410b67",
+    "ucb1-tied":
+        "04ab5977161b76e899ef6644628425e0461b6473ecb66bb5df7481c3003397bc",
+    "ucb1-tied_inexact":
+        "430b53368e7d481fa1d254652a2ba91bfdd9ce024b64771af4e5bc7a3af0c98e",
+    "ucb1-tied_at_bound":
+        "50e5faf4e7d4cadf0dc89f870176889257e5f81692c563ac0036a206212fc408",
+    "ucb1-tied_past_bound":
+        "c8f74e7cd85c68a43795913c60610e0cd84bd812457820c69c59fe86f6da8b81",
+    "ucb1-signed_zeros":
+        "aa1a41ac04b3840d3e7e9c9d21e87ce976286295d7860d6e1c2e174b8ca8594d",
     "completion_adapter-ucb1":
         "545d44c60610d2ddf09366784f031d0bb9cf6ff2862bb611e6033fbce42a97a3",
     "completion_adapter-phased_ucb1":
@@ -800,3 +839,61 @@ def test_ucb1_phases_match_per_round_rule(monkeypatch, name):
     assert inst_state == ref_inst_state
     assert alg_state == ref_alg_state
     assert _payload_digest(trace) == _PHASE_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name, cycles", [
+    ("maxminlcd-tied_cycle_cut", [(222, 2840), (3062, 203)]),
+    ("ucb1-tied", [(0, 512)]),
+    ("ucb1-tied_at_bound", [(0, 512)]),
+    ("ucb1-tied_past_bound", []),
+    ("ucb1-tied_inexact", []),
+    ("ucb1-signed_zeros", []),
+])
+def test_tied_phases_play_in_closed_form(monkeypatch, name, cycles):
+    """The phases `_Pulls.cycle` writes, as (first round, rounds): the
+    tied phases 2 and 3 of maxminlcd and the constants whose sums are
+    proven exact, not 0.9, the 46-bit constant or mixed signed zeros."""
+    seen = []
+    cycle = hn._Pulls.cycle
+
+    def spy(self, xs, t, n):
+        seen.append((t, n))
+        return cycle(self, xs, t, n)
+
+    monkeypatch.setattr(hn._Pulls, "cycle", spy)
+    instance_d, algorithm, horizon = _PHASE_CONFIGS[name]
+    hn.run_match(hn.ExperimentConfig(instance_d["space"], instance_d,
+                                     algorithm, horizon, seed=3))
+    assert seen == cycles
+
+
+def _bonus_order_holds(c, p, n):
+    """Whether, in round p of a tied phase, an arm of count n beats one of
+    count n + 1 in floats, as `_ucb1` computes the index."""
+    log_term = 2.0 * math.log(p)
+    return c + math.sqrt(log_term / n) > c + math.sqrt(log_term / (n + 1.0))
+
+
+@_SETTINGS
+@given(st.sampled_from([0.0, 0.25, 0.5, 1.0, _AT_BOUND]),
+       st.integers(2, 64), st.integers(1, 2 ** 40))
+def test_round_robin_guard_implies_bonus_order(c, m, cycles):
+    """Where `_round_robin` holds, counts n and n + 1 stay apart in the
+    phase's first compared round, its last one, and at its smallest log
+    term with its largest count, which the guard bounds."""
+    rounds = m * cycles
+    if not bn._round_robin((c,) * m, rounds):
+        return
+    for p in (m + 1, rounds - 1):
+        if m <= p < rounds:
+            assert _bonus_order_holds(c, p, float(p // m))
+    assert _bonus_order_holds(c, m, float(cycles))
+
+
+def test_round_robin_guard_bounds_count():
+    """The count order is checked, not assumed: two arms of 0.5 pass at
+    2^30 rounds each and fail at 2^34, where every sum is still exact."""
+    assert bn._round_robin((0.5, 0.5), 2 * 2 ** 30)
+    assert not bn._round_robin((0.5, 0.5), 2 * 2 ** 34)
+    assert bn._round_robin((0.5,), 10)
+    assert not bn._round_robin((0.5, lambda t: 0.5), 10)

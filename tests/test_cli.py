@@ -403,8 +403,11 @@ _INTERVAL = {"kind": "interval"}
     ({"space": dict(_FINITE, coords=5),
       "instance": dict(_ARMS, space=dict(_FINITE, coords=5))},
      "finite space"),
+    ({"space": dict(_FINITE, coords=[0.0, math.inf]),
+      "instance": dict(_ARMS, space=dict(_FINITE, coords=[0.0, math.inf]))},
+     "finite space"),
 ], ids=["arms-noise", "peak-noise", "constant-noise", "logt-noise",
-        "interval-resolution", "finite-coords"])
+        "interval-resolution", "finite-coords", "finite-coords-inf"])
 def test_simulate_bad_descriptor_value_exits_1(tmp_path, capsys, config,
                                                message):
     config = dict({"algorithm": {"name": "phased_ucb1"}, "horizon": 8,
@@ -554,6 +557,19 @@ def test_simulate_replicate_error_exit_code_ignores_parallelism(
     assert cli.main(["simulate", _write(tmp_path, "cfg.json", config),
                      "--replicates", "2", "--parallelism", parallelism]) == 1
     assert "'full'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [
+    ("--parallelism", "0"), ("--parallelism", "-3"), ("--replicates", "0"),
+    ("--replicates", "-1")])
+def test_simulate_count_option_below_one_exits_1(tmp_path, capsys, option,
+                                                 value):
+    config = {"space": _FINITE, "instance": _ARMS, "algorithm": _UCB1,
+              "horizon": 8, "seed": 0}
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config),
+                     option, value]) == 1
+    err = capsys.readouterr().err
+    assert option.lstrip("-") in err and f"not {value}" in err
 
 
 # SHA-256 of `banditlab forge --kind K --seed S` stdout, recorded before

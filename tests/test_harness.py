@@ -314,6 +314,12 @@ def test_replicate_pool_starts_no_more_workers_than_it_can_use(monkeypatch):
     assert sizes == [4, 2, 3]
 
 
+@pytest.mark.parametrize("parallelism", [0, -3, 1.5, True])
+def test_replicates_require_parallelism_count(parallelism):
+    with pytest.raises(ValidationError, match="'parallelism'"):
+        hn.run_replicates(_arms_config(horizon=8), [1], parallelism)
+
+
 def test_replicates_require_distinct_seeds():
     with pytest.raises(ValidationError):
         hn.run_replicates(_arms_config(horizon=8), [1, 1])

@@ -139,6 +139,17 @@ def test_lineage_round_sample_coherent():
     assert value[0].tolist() == value[1].tolist()
 
 
+def test_lineage_min_radii_per_depth():
+    tree = sps.build_ball_tree(_interval(), 4)
+    assert inst._min_radii(tree, 3) == [
+        min(n.radius for n, depth in tree.nodes() if depth == i)
+        for i in (1, 2, 3)]
+    # a hand-built tree one level short
+    root = sps.BallNode(0.5, 1.0, children=[sps.BallNode(0.3, 0.1, path="0")])
+    with pytest.raises(ValidationError, match="depth 2"):
+        inst.LineageInstance(_interval(), sps.BallTree(root, 2), biases=[0.5] * 2)
+
+
 def test_lineage_overlapping_children_rejected():
     # the walk checks sibling disjointness: a hand-built tree can break it
     root = sps.BallNode(0.5, 1.0, children=[sps.BallNode(0.4, 0.2, path="0"),
