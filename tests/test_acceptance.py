@@ -305,6 +305,9 @@ def _golden_configs():
     three = sps.FiniteSpace([0.0, 0.5, 1.0]).descriptor()
     tied = {"kind": "arms", "space": three, "means": [0.5] * 3,
             "noise": "none"}
+    tree = sps.TreeSpace(eps=0.5, depth=6).descriptor()
+    tree_peak = {"kind": "peak", "space": tree, "peak": [1, 0, 1, 1, 0, 0],
+                 "slope": 0.5, "c": 0.9, "noise": "bernoulli"}
     return {
         "ucb1": (finite, arms, {"name": "ucb1", "arms": [0.0, 1.0]}, 512),
         "well_ordered_bandit": (convergent, convergent_peak,
@@ -317,6 +320,13 @@ def _golden_configs():
             {"name": "completion_adapter",
              "inner": {"name": "well_ordered_bandit"},
              "rounding": "dyadic:20"}, 256),
+        # an adapter whose inner UCB1 phases play through its pulls
+        "completion_adapter_phased_ucb1": (
+            plain, peak(plain),
+            {"name": "completion_adapter", "inner": {"name": "phased_ucb1"},
+             "rounding": "dyadic:20"}, 512),
+        # leaf paths: the points are tuples
+        "phased_ucb1_tree": (tree, tree_peak, {"name": "phased_ucb1"}, 512),
         "double_feedback_expert": (convergent, convergent_peak,
                                    {"name": "double_feedback_expert"}, 256),
         "naive_experts": (plain, peak(plain),

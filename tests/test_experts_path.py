@@ -8,11 +8,15 @@
   against the old `cover_oracle` asked again after each witness, in the
   witnesses and the truncation flag; `cover_oracle` is now the first
   witness of that scan.
+- Long match: the payload of a naive-experts match past 2^16 rounds,
+  whose blocks span several chunks of cells, pinned by its SHA-256.
 
 The references are the pre-change code, kept here.
 """
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -200,3 +204,34 @@ def test_active_set_truncates_at_quota():
     # a ball no wider than the tolerance does not cover its own witness
     assert active_set(space, None, [], 1e-13, 2) == ((0.0, 0.0), True)
     assert ref_active_set(space, None, [], 1e-13, 2) == ((0.0, 0.0), True)
+
+
+# ---------------------------------------------------------------------------
+# a match whose blocks span several chunks of cells
+
+_PLAIN = sps.IntervalSpace().descriptor()
+_LONG_EXPERTS = hn.ExperimentConfig(
+    _PLAIN, {"kind": "peak", "space": _PLAIN, "peak": 0.8, "slope": 1.0,
+             "c": 0.9, "noise": "bernoulli"},
+    {"name": "naive_experts", "b": 1.0}, 2 ** 16 + 5)
+# SHA-256 of the trace payload, recorded before the match's draws shared
+# one stream object
+_LONG_EXPERTS_DIGEST = (
+    "b6166a2406bd32db8508b5caa4362661e423542b3927883280c62d811be6ecd8")
+
+
+def test_long_experts_match_payload_is_pinned(monkeypatch):
+    """Blocks of more than `_CHUNK_CELLS` cells redraw per chunk; the trace
+    of a match past 2^16 rounds keeps its recorded bytes."""
+    cells = []
+    rewards = hn._RoundSampler.rewards
+
+    def spy(self, queries, bet, rounds):
+        cells.append((len(queries) + 1) * rounds)
+        return rewards(self, queries, bet, rounds)
+
+    monkeypatch.setattr(hn._RoundSampler, "rewards", spy)
+    trace = hn.run_match(_LONG_EXPERTS)
+    assert max(cells) > 2 * hn._CHUNK_CELLS
+    text = json.dumps(trace.to_payload(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _LONG_EXPERTS_DIGEST
