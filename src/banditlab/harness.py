@@ -4,26 +4,26 @@ A run is fully determined by (config, seed): instance noise comes from the
 stream [seed, 0] and algorithm randomness from [seed, 1], so the same seed
 exposes identical noise to every algorithm.  Every session yields Actions,
 blocks of rounds, and one loop plays them with the feedback sampler of the
-session's mode.  In bandit mode `_Pulls` resolves each point's pull once
-per match and stores the rewards and means; an action's feedback is its
-rewards added in round order.  A Bernoulli pull reads uniform t of chunked
-uniforms in round t, and a block of 32 rounds or more compares its rounds'
-uniforms with the mean in numpy; a sign-mixture pull adds its compiled
-terms, and the uniforms left unread at the end are rewound; a pull that
-draws nothing is a constant.  A UCB1 phase is one action that plays its
-own rounds through the same pulls, or writes them at once when all its
-arms pay one constant that UCB1 provably plays round robin.  In experts
-mode `_RoundSampler` samples a block in numpy with the bits and noise
-stream of its rounds, one matrix-vector product per distinct sign row.
-Bernoulli query sums are integer counts, exact in any order, so each
-chunk adds its column totals; sign-mixture and noise-free sums keep the
-round-order accumulate.
+session's mode.  Every draw of a match reads the next uniforms of one
+`_Uniforms` over the noise stream, and the match's end rewinds it to where
+draws one by one leave it.  In bandit mode `_Pulls` resolves each point's
+pull once per match: a Bernoulli pull reads one uniform, a block of 32
+rounds or more compares its rounds' uniforms with the mean in numpy, a
+sign-mixture pull reads one per drawn sign, and a pull that draws nothing
+is a constant.  A UCB1 phase is one action that plays its own rounds
+through the pulls, or writes them at once when all its arms pay one
+constant that UCB1 provably plays round robin.  In experts mode
+`_RoundSampler` samples a block in numpy, one matrix-vector product per
+distinct sign row.  Bernoulli query sums are integer counts, exact in any
+order, so each chunk adds its column totals; sign-mixture and noise-free
+sums keep the round-order accumulate.
 """
 
 from __future__ import annotations
 
 import csv
 import inspect
+import itertools
 import json
 import math
 import numbers
@@ -161,18 +161,63 @@ def build_algorithm(descriptor, space, rng):
 
 
 # ---------------------------------------------------------------------------
-# coherent block sampling for expert feedback
+# feedback sampling: the noise stream, experts blocks and bandit pulls
+
+_UNIFORM_CHUNK = 1024  # uniforms drawn at once for the reads one by one
+
+
+class _Uniforms:
+    """The noise stream of one match, read in order by all its draws:
+    next() returns the next uniform as a Python float, take(n) the next n
+    as an array, and rewind() steps the generator back over those drawn
+    for next() but not read.  PCG64 uniforms run on across calls and
+    shapes: rng.random(n) is the stream of n single draws."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self._current = [iter(()), np.empty(0)]  # a chunk's unread; its array
+        # a C-level call per uniform: chain reads each chunk's list iterator
+        self.next = itertools.chain.from_iterable(
+            self._chunks(rng, self._current)).__next__
+
+    @staticmethod
+    def _chunks(rng, current):
+        """Iterators over `_UNIFORM_CHUNK` new uniforms, each kept with its
+        array as `current`; holding no `_Uniforms`, it makes no cycle."""
+        while True:
+            u = rng.random(_UNIFORM_CHUNK)
+            current[:] = iter(u.tolist()), u
+            yield current[0]
+
+    def take(self, n):
+        unread, u = self._current
+        left = operator.length_hint(unread)
+        if n > left:
+            self.rewind()
+            return self.rng.random(n)
+        next(itertools.islice(unread, n, n), None)  # read them off it too
+        return u[len(u) - left:len(u) - left + n]
+
+    def rewind(self):
+        unread = self._current[0]
+        left = operator.length_hint(unread)
+        if left:
+            # PCG64 advances modulo 2^128
+            self.rng.bit_generator.advance(-left % (1 << 128))
+            next(itertools.islice(unread, left, left), None)
+
 
 _CHUNK_CELLS = 2 ** 16  # bounds one draw's memory, whatever the block length
 
 
 class _RoundSampler:
     """Vectorized feedback for a query tuple plus a bet over a block of
-    coherent rounds: every round samples all points from one draw."""
+    coherent rounds: every round samples all points from one draw of the
+    match's `_Uniforms`."""
 
-    def __init__(self, instance, rng):
+    def __init__(self, instance, uniforms):
         self.instance = instance
-        self.rng = rng
+        self.uniforms = uniforms
 
     def _prepare(self, points):
         """("signs", term matrix, sign probabilities or None) for sign
@@ -191,7 +236,7 @@ class _RoundSampler:
         if tag == "signs":
             if b is None:
                 return np.full((c, a.shape[0]), 0.5)
-            drawn = self.rng.random((c, len(b))) < b
+            drawn = self.uniforms.take(c * len(b)).reshape(c, -1) < b
             # rounds with equal signs share one matrix-vector product, the
             # one each round would run, so every round keeps its bits
             packed = np.packbits(drawn, axis=1)
@@ -205,9 +250,9 @@ class _RoundSampler:
             return np.array([0.5 + a @ s for s in signs])[group]
         if self.instance.noise == "none":
             return np.tile(a, (c, 1))
-        # one (c, m) draw is the stream of c draws of m; the 0/1 outcomes
+        # c rounds of m uniforms are the next c * m; the 0/1 outcomes
         # overwrite the draw in place
-        u = self.rng.random((c, len(a)))
+        u = self.uniforms.take(c * len(a)).reshape(c, -1)
         return np.less(u, a, out=u, casting="unsafe")
 
     def rewards(self, queries, bet, rounds):
@@ -239,28 +284,31 @@ _NUMPY_BLOCK = 32  # a bandit block this long costs less in numpy than pulled
 
 class _Pulls:
     """The pulls of one bandit match, the `pulls` of `bandits.Action`: the
-    rewards of `bandit_reward(x, rng)`, written with the means into the
-    match's arrays through memoryviews, which store a Python float without
-    a numpy scalar.  arm(x) resolves x's (pull, mean) once per match, the
-    mean as a Python float: the pull is x's reward in every round as a
-    float when x draws nothing (noise "none", or a sign row without a
-    drawn sign), else the function of round t that returns it.  cycle()
-    writes a round robin of constant pulls as array repeats.  rewind()
-    ends the noise stream where the pulls one by one leave it."""
+    rewards of `bandit_reward(x, rng)` drawn from the match's `_Uniforms`,
+    written with the means into the match's arrays through memoryviews,
+    which store a Python float without a numpy scalar.  arm(x) resolves
+    x's (pull, mean) once per match, the mean as a Python float: the pull
+    is x's reward in every round as a float when x draws nothing (noise
+    "none", or a sign row without a drawn sign), else the function of
+    round t that returns it.  block() plays one arm's rounds, a Bernoulli
+    block of `_NUMPY_BLOCK` rounds or more in numpy; cycle() writes a
+    round robin of constant pulls as array repeats."""
 
-    def __init__(self, instance, rng, rewards, means, bets):
+    def __init__(self, instance, uniforms, rewards, means, bets):
         self.rewards, self.means = memoryview(rewards), memoryview(means)
         self.bets = bets
         self._mean = instance.mean
         self._arms = {}
-        self._numpy_block, self.rewind = None, lambda: None
+        uniform = uniforms.next
+        self._uniforms = None  # the stream of Bernoulli numpy blocks
         if instance.uniformly_lipschitz:
-            self._pull_of, self.rewind = _sign_pulls(instance, rng)
+            self._pull_of = _sign_pulls(instance, uniform)
         elif instance.noise == "none":
             self._pull_of = lambda _x, mu: mu
         else:
-            self._pull_of, self._numpy_block = _bernoulli_pulls(
-                rng, rewards, means)
+            self._uniforms = uniforms
+            self._pull_of = (
+                lambda _x, mu: lambda _t: 1.0 if uniform() < mu else 0.0)
 
     def arm(self, x):
         entry = self._arms.get(x)
@@ -276,8 +324,12 @@ class _Pulls:
         pull, mu = self.arm(x)
         if self.bets is not None:
             self.bets.extend([x] * n)
-        if n >= _NUMPY_BLOCK and self._numpy_block is not None:
-            return self._numpy_block(mu, t, n, start)
+        if n >= _NUMPY_BLOCK and self._uniforms is not None:
+            rewards = self.rewards.obj[t:t + n]  # the memoryview's array
+            np.less(self._uniforms.take(n), mu, out=rewards, casting="unsafe")
+            self.means.obj[t:t + n] = mu
+            sums = np.concatenate(([start], rewards))
+            return float(np.add.accumulate(sums, out=sums)[-1])
         reward_out, mean_out = self.rewards, self.means
         for s in range(t, t + n):
             reward_out[s] = reward = (
@@ -295,88 +347,27 @@ class _Pulls:
             self.bets.extend((list(xs) * laps)[:n])
 
 
-def _bernoulli_pulls(rng, rewards, means):
-    """(pull_of(x, mu), block) over the rounds of `rewards`: a Bernoulli
-    pull reads uniform t of chunks of `_CHUNK_CELLS` in round t, as
-    rng.random(c) is the stream of c single draws, and block(mu, t, n,
-    start) writes rounds t..t+n-1 into `rewards` and `means` in numpy and
-    returns their rewards added in round order onto start."""
-    u = uniform = None
-    lo = hi = 0
-
-    def draw(t):
-        nonlocal u, uniform, lo, hi
-        u = rng.random(min(_CHUNK_CELLS, len(rewards) - t))
-        # a memoryview reads a Python float without a numpy scalar
-        uniform, lo, hi = memoryview(u), t, t + len(u)
-
-    def pull_of(_x, mu):
-        def pull(t):
-            if t >= hi:
-                draw(t)
-            return 1.0 if uniform[t - lo] < mu else 0.0
-
-        return pull
-
-    def block(mu, t, n, start):
-        s = t
-        while s < t + n:
-            if s >= hi:
-                draw(s)
-            stop = min(t + n, hi)
-            np.less(u[s - lo:stop - lo], mu, out=rewards[s:stop],
-                    casting="unsafe")
-            s = stop
-        means[t:t + n] = mu
-        sums = np.concatenate(([start], rewards[t:t + n]))
-        return float(np.add.accumulate(sums, out=sums)[-1])
-
-    return pull_of, block
-
-
-_SIGN_CHUNK = 1024  # uniforms per sign-mixture draw; the unread are rewound
-
-
-def _sign_pulls(instance, rng):
-    """(pull_of(x, mu), rewind()) of a sign mixture: x's pull adds its
-    (value, p) row to 1/2 in walk order, p the chance of a +1 sign, or None
-    for a sign that is always +1.  A row without p is constant; the others
-    draw their signs from chunks of `_SIGN_CHUNK` uniforms, and rewind()
-    steps the generator back over the ones left unread."""
-    chunk = iter(())
-
-    def stream():
-        nonlocal chunk
-        while True:
-            chunk = iter(rng.random(_SIGN_CHUNK).tolist())
-            yield from chunk
-
-    uniforms = stream()
+def _sign_pulls(instance, uniform):
+    """pull_of(x, mu) of a sign mixture: x's pull adds its (value, p) row
+    to 1/2 in walk order, p the chance of a +1 sign, or None for a sign
+    that is always +1.  Each p draws its sign with the next uniform(); a
+    row without p reads none and is a constant."""
 
     def pull_of(x, _mu):
         row = tuple((value, (1.0 + bias) / 2.0 if bias < 1.0 else None)
                     for _key, value, bias in instance.active_terms(x))
-        if all(p is None for _value, p in row):
-            total = 0.5
-            for value, _p in row:
-                total += value
-            return total
 
         def pull(_t):
             total = 0.5
             for value, p in row:
-                if p is not None and not next(uniforms) < p:
+                if p is not None and not uniform() < p:
                     value = -value
                 total += value
             return total
 
-        return pull
+        return pull if any(p is not None for _value, p in row) else pull(0)
 
-    def rewind():
-        # PCG64 advances modulo 2^128
-        rng.bit_generator.advance(-operator.length_hint(chunk) % (1 << 128))
-
-    return pull_of, rewind
+    return pull_of
 
 
 # ---------------------------------------------------------------------------
@@ -437,10 +428,11 @@ def run_match(config, seed=None):
     rewards = np.empty(horizon)
     means = np.empty(horizon)
     actions = [] if config.record_actions else None
+    uniforms = _Uniforms(inst_rng)
     if session.mode == "bandit":
-        pulls = _Pulls(instance, inst_rng, rewards, means, actions)
+        pulls = _Pulls(instance, uniforms, rewards, means, actions)
     else:
-        pulls, sampler = None, _RoundSampler(instance, inst_rng)
+        pulls, sampler = None, _RoundSampler(instance, uniforms)
         mus = {}  # bet -> its mean, computed once per match
     try:
         t = 0
@@ -466,8 +458,7 @@ def run_match(config, seed=None):
             # it is, which records the session's next phase in info
             if n == action.rounds:
                 session.observe(feedback)
-        if pulls is not None:
-            pulls.rewind()
+        uniforms.rewind()
     finally:
         session.close()
     return RegretTrace(

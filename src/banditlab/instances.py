@@ -11,9 +11,9 @@ balls whose siblings are disjoint, each with its own key and sign bias.
 of them, in one walk down that forest that takes each term's points
 together, and `table_round` samples rounds of them at once: it is the sign
 sampler of `bandit_reward`, `monte_carlo_mean` and certification.  A
-match's sign pulls go through `harness._sign_pulls` instead, which adds
-each point's compiled row over chunked uniforms; `table_round`, through
-`bandit_reward`, is the reference they are tested against.
+match's sign pulls go through `harness._sign_pulls`, which adds a point's
+compiled row with one uniform of the match's stream per drawn sign; its
+reference in the tests is `table_round`, through `bandit_reward`.
 `_chain` walks the forest for one point, and `active_terms` reads that
 walk afresh on every call; the instance keeps no walk.
 """

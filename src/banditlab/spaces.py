@@ -100,9 +100,10 @@ class DepthLevel:
                         for q in value)):
                 raise ValidationError(f"depth level field {name!r} must be "
                                       f"a list of numbers, not {value!r}")
-        if bounds is not None and len(bounds) != 2:
-            raise ValidationError(
-                f"depth level field 'bounds' needs two numbers, not {bounds!r}")
+        if bounds is not None and not (len(bounds) == 2
+                                       and bounds[0] <= bounds[1]):
+            raise ValidationError(f"depth level field 'bounds' needs two "
+                                  f"numbers lo <= hi, not {bounds!r}")
         self.kind = kind
         self.points = list(points) if points is not None else None
         self.bounds = tuple(bounds) if bounds is not None else None
@@ -223,12 +224,18 @@ class MetricSpace:
 
 
 def _attach_depth(space, depth_chain, dimension):
+    """The chain as depth structure; its points and bounds the space's."""
     if depth_chain is not None:
-        space.depth_structure = DepthStructure(
-            [d if isinstance(d, DepthLevel) else DepthLevel.from_descriptor(d)
-             for d in depth_chain],
-            dimension=dimension,
-        )
+        levels = [d if isinstance(d, DepthLevel)
+                  else DepthLevel.from_descriptor(d) for d in depth_chain]
+        for level, name in itertools.product(levels, ("points", "bounds")):
+            for p in getattr(level, name) or ():
+                try:
+                    space.validate_point(p)
+                except StructuralError as exc:
+                    raise ValidationError(
+                        f"depth level field {name!r}: {exc}") from None
+        space.depth_structure = DepthStructure(levels, dimension=dimension)
     return space
 
 
@@ -834,10 +841,12 @@ def build_ball_tree(space, depth_cap):
             f"{space.kind} space has no perfect-subspace sampler")
     root_center = space.canonical_least() if space.kind == "tree" else 0.5
     root = BallNode(root_center, 1.0, path="")
-
-    def grow(node, depth):
+    # a stack, not a recursive closure: that cycle would keep the space
+    stack = [(root, 0)]
+    while stack:
+        node, depth = stack.pop()
         if depth >= depth_cap:
-            return
+            continue
         sibling = space.perfect_neighbor(node.center, node.radius)
         d = space.distance(node.center, sibling)
         if d <= 0:
@@ -847,10 +856,7 @@ def build_ball_tree(space, depth_cap):
             BallNode(node.center, r_child, path=node.path + "0"),
             BallNode(sibling, r_child, path=node.path + "1"),
         ]
-        for child in node.children:
-            grow(child, depth + 1)
-
-    grow(root, 0)
+        stack.extend((child, depth + 1) for child in reversed(node.children))
     return BallTree(root, depth_cap)
 
 

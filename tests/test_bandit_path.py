@@ -321,19 +321,19 @@ def _config(name, horizon, seed=3):
 @pytest.mark.parametrize("horizon", [1] + [
     k * _SMALL_CHUNK + d for k in (1, 2, 3) for d in (-1, 0, 1)])
 def test_chunked_pulls_match_per_pull(monkeypatch, name, horizon):
-    monkeypatch.setattr(hn, "_CHUNK_CELLS", _SMALL_CHUNK)
-    monkeypatch.setattr(hn, "_SIGN_CHUNK", _SMALL_CHUNK)
+    monkeypatch.setattr(hn, "_UNIFORM_CHUNK", _SMALL_CHUNK)
     _assert_same_pulls(monkeypatch, _config(name, horizon))
 
 
-@pytest.mark.parametrize("horizon", [hn._CHUNK_CELLS, hn._CHUNK_CELLS + 1])
+@pytest.mark.parametrize("horizon", [hn._UNIFORM_CHUNK, hn._UNIFORM_CHUNK + 1,
+                                     2 ** 16, 2 ** 16 + 1])
 def test_chunked_pulls_match_per_pull_at_chunk_bound(monkeypatch, horizon):
     _assert_same_pulls(monkeypatch, _config("ucb1-bernoulli", horizon))
 
 
 def test_sign_pulls_straddle_chunk_bound(monkeypatch):
     """At the real chunk size, a depth-6 lineage pull whose signs come from
-    two chunks of `_SIGN_CHUNK` uniforms."""
+    two chunks of `_UNIFORM_CHUNK` uniforms."""
     space = sps.IntervalSpace(resolution=2.0 ** -40).descriptor()
     instance_d = {"kind": "lineage", "space": space, "tree_depth": 6,
                   "gamma": 0.3, "seed": 0}
@@ -345,8 +345,8 @@ def test_sign_pulls_straddle_chunk_bound(monkeypatch):
     read = list(itertools.accumulate(
         (sum(bias < 1.0 for _key, _value, bias in instance.active_terms(x))
          for x in trace.actions), initial=0))
-    assert read[-1] > hn._SIGN_CHUNK
-    assert any(before < hn._SIGN_CHUNK < after
+    assert read[-1] > hn._UNIFORM_CHUNK
+    assert any(before < hn._UNIFORM_CHUNK < after
                for before, after in itertools.pairwise(read))
 
 
@@ -539,13 +539,14 @@ def test_bandit_block_feedback_adds_onto_start(monkeypatch, name):
         assert feedback.hex() == total.hex()
 
 
-@pytest.mark.parametrize("chunk", [_SMALL_CHUNK, hn._CHUNK_CELLS])
+@pytest.mark.parametrize("chunk", [_SMALL_CHUNK, hn._UNIFORM_CHUNK, 2 ** 16])
 def test_numpy_blocks_match_per_pull(monkeypatch, chunk):
     """Bernoulli blocks, most long enough for numpy, one longer than a
-    chunk of uniforms and others across a chunk bound, against one
-    bandit_reward per pull: the same rewards, means and noise stream state.
-    Horizons cut the last block, end with it, and start the cycle again."""
-    monkeypatch.setattr(hn, "_CHUNK_CELLS", chunk)
+    chunk of uniforms, one that fits in what the reads one by one left of
+    a chunk and others past it, against one bandit_reward per pull: the
+    same rewards, means and noise stream state.  Horizons cut the last
+    block, end with it, and start the cycle again."""
+    monkeypatch.setattr(hn, "_UNIFORM_CHUNK", chunk)
     n = max(chunk, hn._NUMPY_BLOCK)
     blocks = [(0.0, 5), (1.0, n + 40, 4.0), (0.0, hn._NUMPY_BLOCK),
               (1.0, 1), (1.0, n - 3)]

@@ -136,8 +136,8 @@ def _check_block(kind, data, m_range, rounds_for):
     seed = data.draw(st.integers(0, 2 ** 32 - 1))
     rng = np.random.default_rng(seed)
     ref_rng = np.random.default_rng(seed)
-    sums, bet_rewards = hn._RoundSampler(instance, rng).rewards(
-        queries, bet, rounds)
+    sampler = hn._RoundSampler(instance, hn._Uniforms(rng))
+    sums, bet_rewards = sampler.rewards(queries, bet, rounds)
     ref_sums, ref_bets = ref_block(instance, ref_rng, queries, bet, rounds)
     assert sums.dtype == np.float64 and bet_rewards.dtype == np.float64
     assert sums.tobytes() == ref_sums.tobytes()
@@ -176,7 +176,7 @@ def test_consecutive_blocks_continue_the_stream():
     assert all(len(list(instance.active_terms(x))) == 4
                for x in queries + (bet,))
     rng, ref_rng = np.random.default_rng(7), np.random.default_rng(7)
-    sampler = hn._RoundSampler(instance, rng)
+    sampler = hn._RoundSampler(instance, hn._Uniforms(rng))
     first, bets_1 = sampler.rewards(queries, bet, 5)
     second, bets_2 = sampler.rewards(queries, bet, 9)
     ref_first, ref_bets_1 = ref_block(instance, ref_rng, queries, bet, 5)
@@ -206,8 +206,8 @@ def test_wide_sign_rows_repeat_across_chunks():
     second = {row.tobytes() for row in rows[chunk:2 * chunk]}
     assert len(first) < chunk and first & second
     rng, ref_rng = np.random.default_rng(11), np.random.default_rng(11)
-    sums, bet_rewards = hn._RoundSampler(instance, rng).rewards(
-        queries, bet, rounds)
+    sampler = hn._RoundSampler(instance, hn._Uniforms(rng))
+    sums, bet_rewards = sampler.rewards(queries, bet, rounds)
     ref_sums, ref_bets = ref_block(instance, ref_rng, queries, bet, rounds)
     assert sums.tobytes() == ref_sums.tobytes()
     assert bet_rewards.tobytes() == ref_bets.tobytes()

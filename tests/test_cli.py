@@ -600,6 +600,12 @@ _NONCOMPACT = {"kind": "noncompact", "space": _INTERVAL,
                "sizes": [2, 3], "seed": 0}
 
 
+def _depth_peak(level):
+    """A peak on the decomposed interval whose chain ends with `level`."""
+    return {"kind": "peak", "space": dict(_DECOMPOSED, depth_chain=[
+        {"kind": "all"}, level]), "peak": 0.8, "slope": 1.0, "c": 0.9}
+
+
 @pytest.mark.parametrize("instance, field", [
     # the points and the ball tree are decoded before the instance is built
     (dict(_NONCOMPACT, centers=0.5), "'centers'"),
@@ -618,6 +624,15 @@ _NONCOMPACT = {"kind": "noncompact", "space": _INTERVAL,
     ({"kind": "peak", "space": dict(_DECOMPOSED, depth_chain=[
         {"kind": "all"}, {"kind": "interval", "bounds": [0.5]}]),
       "peak": 0.8, "slope": 1.0, "c": 0.9}, "'bounds'"),
+    # depth-level points and bounds outside the space, or bounds reversed
+    (_depth_peak({"kind": "points", "points": [5.0]}), "'points'"),
+    (_depth_peak({"kind": "points", "points": [math.inf]}), "'points'"),
+    (_depth_peak({"kind": "points", "points": [math.nan]}), "'points'"),
+    (_depth_peak({"kind": "points", "points": [-1.0]}), "'points'"),
+    (_depth_peak({"kind": "interval", "bounds": [0.5, 2.0]}), "'bounds'"),
+    (_depth_peak({"kind": "interval", "bounds": [-math.inf, 0.5]}),
+     "'bounds'"),
+    (_depth_peak({"kind": "interval", "bounds": [0.9, 0.1]}), "'bounds'"),
 ])
 def test_simulate_instance_field_of_wrong_form_exits_1(tmp_path, capsys,
                                                        instance, field):

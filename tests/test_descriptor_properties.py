@@ -32,16 +32,17 @@ def _via_json(d):
 
 
 @st.composite
-def _depth_chain(draw):
-    """None, or the whole space followed by nested point sets or ranges."""
+def _depth_chain(draw, point=_UNIT):
+    """None, or the whole space followed by nested point sets or ranges,
+    with `point` drawing points of the space."""
     if draw(st.booleans()):
         return None
     chain = [{"kind": "all"}]
     if draw(st.booleans()):
-        points = draw(st.lists(_UNIT, min_size=1, max_size=4, unique=True))
+        points = draw(st.lists(point, min_size=1, max_size=4, unique=True))
         chain.append({"kind": "points", "points": points})
     else:
-        a, b = sorted(draw(st.lists(_UNIT, min_size=2, max_size=2)))
+        a, b = sorted(draw(st.lists(point, min_size=2, max_size=2)))
         chain.append({"kind": "interval", "bounds": [a, b]})
     return chain
 
@@ -62,12 +63,12 @@ _SPACES = {
         well_order=st.sampled_from([None, "coordinate"]),
         depth_chain=_depth_chain(),
         depth_dimension=st.sampled_from([0.5, 1.0])),
-    "finite": st.builds(
-        sps.FiniteSpace,
-        st.lists(st.floats(-10, 10, allow_nan=False), min_size=1,
-                 max_size=20, unique=True),
-        depth_chain=_depth_chain(),
-        depth_dimension=st.sampled_from([0.0, 0.5])),
+    "finite": st.lists(st.floats(-10, 10, allow_nan=False), min_size=1,
+                       max_size=20, unique=True).flatmap(
+        lambda coords: st.builds(
+            sps.FiniteSpace, st.just(coords),
+            depth_chain=_depth_chain(st.sampled_from(coords)),
+            depth_dimension=st.sampled_from([0.0, 0.5]))),
     "convergent": st.builds(sps.ConvergentSpace, st.integers(1, 200)),
     "convergent_union": st.builds(sps.ConvergentUnionSpace,
                                   _union_branches()),
@@ -117,10 +118,12 @@ def test_point_set_validate_point(kind):
         if x not in space.scan_points():
             with pytest.raises(StructuralError):
                 space.validate_point(x)
-        # just off a member is not a member either
+        # just off a member is not a member either, unless it is another
         p = space.scan_points()[-1]
-        with pytest.raises(StructuralError):
-            space.validate_point(p + max(abs(p), 1.0) * 1e-9)
+        off = p + max(abs(p), 1.0) * 1e-9
+        if off not in space.scan_points():
+            with pytest.raises(StructuralError):
+                space.validate_point(off)
 
     check()
 

@@ -72,8 +72,8 @@ def _check_rewards(kind, m, rounds, seed, calls=1):
     points = _points(space, m + 1, np.random.default_rng(1000 + seed))
     queries, bet = tuple(points[:m]), points[m]
     rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-    sampler = hn._RoundSampler(instance, rng)
-    ref_sampler = hn._RoundSampler(instance, ref_rng)
+    sampler = hn._RoundSampler(instance, hn._Uniforms(rng))
+    ref_sampler = hn._RoundSampler(instance, hn._Uniforms(ref_rng))
     for _ in range(calls):
         sums, bet_rewards = sampler.rewards(queries, bet, rounds)
         ref_sums, ref_bets = ref_rewards(ref_sampler, queries, bet, rounds)
@@ -103,7 +103,8 @@ def test_bernoulli_sums_are_counts_over_long_blocks():
     """Sums over more rounds than one chunk holds are exact counts."""
     _check_rewards("peak", 3, 2 ** 16 + 3, seed=2)
     instance, _ = _instances()["arms"]
-    sums, _ = hn._RoundSampler(instance, np.random.default_rng(0)).rewards(
+    uniforms = hn._Uniforms(np.random.default_rng(0))
+    sums, _ = hn._RoundSampler(instance, uniforms).rewards(
         (0.0, 1.0), 0.5, 2 ** 16 + 3)
     assert sums.tolist() == [0.0, 2.0 ** 16 + 3]
 

@@ -2,9 +2,11 @@ import concurrent.futures
 import gc
 import math
 import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import banditlab.bandits as bd
 import banditlab.harness as hn
@@ -222,17 +224,27 @@ def test_expert_mode_trace():
     assert np.allclose(trace.rewards, trace.means)
 
 
-@pytest.mark.parametrize("space, algorithm", [
-    (sps.ConvergentUnionSpace([(0.0, 1, 40), (2.0, 1, 40)]),
+_PEAK = {"kind": "peak", "peak": 0.0, "slope": 0.25, "c": 0.9,
+         "noise": "bernoulli"}
+
+
+@pytest.mark.parametrize("space, instance_d, algorithm", [
+    (sps.ConvergentUnionSpace([(0.0, 1, 40), (2.0, 1, 40)]), _PEAK,
      {"name": "phased_ucb1"}),
-    (sps.IntervalSpace(well_order="coordinate"),
+    (sps.IntervalSpace(well_order="coordinate"), _PEAK,
      {"name": "completion_adapter", "inner": {"name": "well_ordered_bandit"}}),
-    (sps.IntervalSpace(well_order="coordinate"),
+    (sps.IntervalSpace(well_order="coordinate"), _PEAK,
      {"name": "completion_adapter", "inner": {"name": "phased_ucb1"}}),
-], ids=["session", "completion_adapter", "completion_adapter_phase"])
-def test_finished_match_frees_session_and_space(monkeypatch, space, algorithm):
+    (sps.IntervalSpace(), {"kind": "lineage", "tree_depth": 4},
+     {"name": "phased_ucb1"}),
+    (sps.IntervalSpace(), _PEAK, {"name": "naive_experts", "b": 1.0}),
+], ids=["session", "completion_adapter", "completion_adapter_phase",
+        "sign_mixture", "experts"])
+def test_finished_match_frees_session_and_space(monkeypatch, space,
+                                                instance_d, algorithm):
     """A finished match leaves no reference cycle, so the session, the space
-    and its oracle caches go at once, not at the next cycle collection."""
+    and its oracle caches, and the noise stream go at once, not at the next
+    cycle collection."""
     refs = []
     materialize = hn._materialize
 
@@ -241,11 +253,16 @@ def test_finished_match_frees_session_and_space(monkeypatch, space, algorithm):
         refs.extend([weakref.ref(session), weakref.ref(instance.space)])
         return instance, session, rng
 
+    class Uniforms(hn._Uniforms):
+        def __init__(self, rng):
+            super().__init__(rng)
+            refs.append(weakref.ref(self))
+
     monkeypatch.setattr(hn, "_materialize", spy)
+    monkeypatch.setattr(hn, "_Uniforms", Uniforms)
     config = hn.ExperimentConfig(
         space=space.descriptor(),
-        instance={"kind": "peak", "space": space.descriptor(), "peak": 0.0,
-                  "slope": 0.25, "c": 0.9, "noise": "bernoulli"},
+        instance={**instance_d, "space": space.descriptor()},
         algorithm=algorithm, horizon=300)
     gc.collect()
     gc.disable()
@@ -254,7 +271,42 @@ def test_finished_match_frees_session_and_space(monkeypatch, space, algorithm):
         alive = [ref() is not None for ref in refs]
     finally:
         gc.enable()
-    assert alive == [False, False]
+    assert alive == [False, False, False]
+
+
+# ---------------------------------------------------------------------------
+# the noise stream
+
+
+@pytest.mark.parametrize("chunk", [8, hn._UNIFORM_CHUNK])
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_uniforms_read_one_stream(chunk, data):
+    """Any interleaving of take(n), with n below, at and above the chunk,
+    runs of next() and a final rewind() reads what one rng.random call
+    reads, and leaves the generator in the state that call leaves."""
+    sizes = st.integers(0, 3 * chunk) | st.sampled_from(
+        [chunk - 1, chunk, chunk + 1])
+    reads = data.draw(st.lists(st.tuples(st.sampled_from(["take", "next"]),
+                                         sizes), max_size=12))
+    seed = data.draw(st.integers(0, 2 ** 32 - 1))
+    rng = np.random.default_rng(seed)
+    got = []
+    with mock.patch.object(hn, "_UNIFORM_CHUNK", chunk):
+        uniforms = hn._Uniforms(rng)
+        for kind, n in reads:
+            if kind == "take":
+                u = uniforms.take(n)
+                assert u.dtype == np.float64 and u.shape == (n,)
+                got.extend(u.tolist())
+            else:
+                values = [uniforms.next() for _ in range(n)]
+                assert all(v.__class__ is float for v in values)
+                got.extend(values)
+        uniforms.rewind()
+    ref = np.random.default_rng(seed)
+    assert np.array(got, dtype=float).tobytes() == ref.random(len(got)).tobytes()
+    assert rng.bit_generator.state == ref.bit_generator.state
 
 
 # ---------------------------------------------------------------------------
