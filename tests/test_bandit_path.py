@@ -473,6 +473,48 @@ def test_horizon_cuts_match_per_round_session(monkeypatch, name):
         assert trace_alg_state == alg_state
 
 
+def _adapter(inner, rounding):
+    return {"name": "completion_adapter", "inner": {"name": inner},
+            "rounding": rounding}
+
+
+# (space, algorithm, horizon, SHA-256 of the payload, the bets and the phase
+# records); the horizon cuts the last phase, and the first case the second
+# point of its sweep
+_ADAPTER_CUTS = {
+    "well_ordered_bandit-sweep_point_cut": (
+        _ORDERED, _adapter("well_ordered_bandit", "dyadic:20"), 325,
+        "a67abf38681055c409d2dc6a77591cfeaebb8e815b12fd53777b57dc92bd1b62"),
+    "well_ordered_bandit-commit_cut": (
+        _ORDERED, _adapter("well_ordered_bandit", "dyadic:20"), 1000,
+        "fbcdfbb76caaa98de694a83d36370fe6cfb26960fe44d76a90899e5395b4a46a"),
+    "phased_ucb1-phase_cut": (
+        _INTERVAL, _adapter("phased_ucb1", "dyadic:20"), 1000,
+        "5db893f3ea6c9ad083722adb85f6b7cda03d85b8392597c72d814fd71872d3d5"),
+    "phased_ucb1-next_phase_cut": (
+        _INTERVAL, _adapter("phased_ucb1", "dyadic:3"), 3100,
+        "db55c581252a5c90a40d0830d7aa9d98cc20578a30585f42bfa8762af5bff4b9"),
+}
+
+
+@pytest.mark.parametrize("name", list(_ADAPTER_CUTS))
+def test_completion_adapter_cut_is_pinned(name):
+    """Adapter matches whose horizon cuts an inner block or phase, pinned
+    with their bets and phase records by the digest the per-round adapter
+    recorded."""
+    space, algorithm, horizon, digest = _ADAPTER_CUTS[name]
+    trace = hn.run_match(hn.ExperimentConfig(
+        space, _peak(space), algorithm, horizon, seed=3, record_actions=True))
+    last = trace.info["phases"][-1]
+    assert last["start"] < horizon < last["start"] + last["length"]
+    if name.endswith("sweep_point_cut"):
+        assert last["start"] + last["n"] < horizon < (
+            last["start"] + 2 * last["n"])
+    text = json.dumps({"payload": trace.to_payload(), "actions": trace.actions,
+                       "phases": trace.info["phases"]}, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 class _FixedBlocks(bn.Session):
     """Plays (point, rounds) or (point, rounds, start) blocks in a cycle and
     records the feedback.  A block with a start is an action that plays
