@@ -430,7 +430,7 @@ class PhasedUCB1Session(Session):
 # completion adapter
 
 
-def dyadic_rounding(levels=20):
+def dyadic_rounding(levels):
     """Round to the 2^-min(t, levels) grid; within 2^-t of the input for
     t <= levels, then stalls at the finest representable grid."""
 
@@ -449,11 +449,12 @@ def identity_rounding(x, t):
 class CompletionAdapterSession(Session):
     """Plays a nearby representable point in place of the inner session's
     choice and feeds the inner session a 0/1 re-randomization of the
-    observed reward, preserving its expectation.  The rounding depends on
-    the round, so an inner block is played one round at a time; the inner
-    session is sent the block's bits added in round order.  An inner phase
-    becomes the adapter's phase, its pulls re-randomized.  `rounding` is
-    "identity", "dyadic" or "dyadic:<levels>"."""
+    observed reward, preserving its expectation.  Every inner action, a
+    block of one point or a phase that plays itself, is one adapter action
+    that `_Rerandomized` plays, and the inner session is sent its bits
+    added in round order.  `rounding` is "identity", "dyadic" (20 levels)
+    or "dyadic:<levels>", at most 1023 levels: x * 2^1024 overflows a
+    float."""
 
     name = "completion_adapter"
 
@@ -462,33 +463,24 @@ class CompletionAdapterSession(Session):
         if inner.mode != "bandit":
             raise ValidationError(
                 f"'inner' must run in bandit mode, not {inner.mode!r}")
-        kind, _, arg = str(rounding).partition(":")
+        kind, _, levels = str(rounding).partition(":")
+        levels = levels or "20"
         if rounding == "identity":
             self.rounding = identity_rounding
-        elif kind == "dyadic" and (not arg or arg.isdecimal()):
-            self.rounding = (dyadic_rounding(int(arg)) if arg
-                             else dyadic_rounding())
+        elif kind == "dyadic" and levels.isdecimal() and int(levels) <= 1023:
+            self.rounding = dyadic_rounding(int(levels))
         else:
-            raise ValidationError(f"unknown 'rounding' {rounding!r}")
+            raise ValidationError(f"unknown 'rounding' {rounding!r} (dyadic "
+                                  "levels go up to 1023)")
         self.inner = inner
         self.rng = rng
         self.info = inner.info
 
     def _run(self):
-        rounds = 0
         while True:
             action = self.inner.choose()
-            if action.play is not None:
-                bits = yield Action(None, rounds=action.rounds, play=(
-                    functools.partial(_Rerandomized.play, action.play,
-                                      self.rounding, self.rng)))
-                rounds += action.rounds
-            else:
-                bits = 0.0
-                for _ in range(action.rounds):
-                    rounds += 1
-                    reward = yield Action(self.rounding(action.bet, rounds))
-                    bits += 1.0 if self.rng.random() < reward else 0.0
+            bits = yield Action(None, rounds=action.rounds, play=_Rerandomized(
+                action, self.rounding, self.rng))
             self.inner.observe(bits)
 
     def close(self):
@@ -504,22 +496,25 @@ class _Dropped:
 
 
 class _Rerandomized:
-    """The pulls an adapter's inner phase plays through.  Round t of the
-    match is the adapter's round t + 1, as the adapter plays every round
-    from the first: arm x plays the rounded point through the match's
-    pulls, which record the round, and returns a 0/1 bit with the reward's
-    expectation.  What the inner phase records itself is dropped."""
+    """The `play` of an adapter action, and the pulls of its inner action:
+    play(pulls, t, n) plays rounds t..t+n-1 of a block of the inner bet,
+    or of an inner phase through these pulls.  Round t of the match is the
+    adapter's round t + 1, as the adapter plays every round from the first:
+    arm x plays the rounded point through the match's pulls, which record
+    the round, and returns a 0/1 bit with the reward's expectation.  What
+    an inner phase records itself is dropped."""
 
     rewards = means = _Dropped()
     bets = None
 
-    def __init__(self, pulls, rounding, rng):
-        self.pulls, self.rounding, self.rng = pulls, rounding, rng
+    def __init__(self, action, rounding, rng):
+        self.action, self.rounding, self.rng = action, rounding, rng
 
-    @staticmethod
-    def play(play, rounding, rng, pulls, t, n):
-        """An inner phase's play(pulls, t, n) in the adapter's rounds."""
-        return play(_Rerandomized(pulls, rounding, rng), t, n)
+    def __call__(self, pulls, t, n):
+        self.pulls = pulls
+        if self.action.play is None:
+            return self.block(self.action.bet, t, n, 0.0)
+        return self.action.play(self, t, n)
 
     def arm(self, x):
         return (lambda t: self.block(x, t, 1, 0.0)), 0.0

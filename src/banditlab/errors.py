@@ -67,12 +67,18 @@ def build(cls, fields, where):
     does not take, or a parameter without a default that fields lacks, is a
     ValidationError that names it, and so is a value of the wrong type or
     form that cls fails on with TypeError, ValueError or OverflowError (an
-    integer too large for a float).  Every default lives in cls alone."""
+    integer too large for a float).  A parameter whose default is a bool
+    takes only a bool, and every other parameter takes none, as Python
+    would read true as 1 and 1 as true.  Every default lives in cls alone."""
     params = inspect.signature(cls).parameters
     known(fields, params, where)
     for name, param in params.items():
         if param.default is param.empty and name not in fields:
             raise ValidationError(f"{where} needs the field {name!r}")
+        flag = isinstance(param.default, bool)
+        if name in fields and isinstance(fields[name], bool) != flag:
+            raise ValidationError(f"{where} field {name!r} must "
+                                  f"{'' if flag else 'not '}be a bool")
     try:
         return cls(**fields)
     except (TypeError, ValueError, OverflowError) as exc:

@@ -64,7 +64,7 @@ class _FullFeedback(Session):
 
     def __init__(self, space, b, uniform):
         super().__init__()
-        if isinstance(b, bool) or not math.isfinite(b):
+        if not math.isfinite(b):
             raise ValidationError(f"b must be a finite number, not {b!r}")
         if uniform and b < 2:
             raise ValidationError("uniform variant requires b >= 2")

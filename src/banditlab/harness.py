@@ -22,6 +22,7 @@ sums keep the round-order accumulate.
 from __future__ import annotations
 
 import csv
+import functools
 import inspect
 import itertools
 import json
@@ -33,6 +34,8 @@ from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
+# loaded here, before a replicate pool forks, not in every worker
+from numpy.random import default_rng
 
 from . import bandits, experts, instances, spaces as sp
 from .errors import ValidationError, build, count, known, required
@@ -51,9 +54,15 @@ class RegretTrace:
     mu_star: float
     rewards: np.ndarray
     means: np.ndarray
-    cum_regret: np.ndarray
     actions: list | None = None
     info: dict = field(default_factory=dict)
+
+    @functools.cached_property
+    def cum_regret(self):
+        """Realized regret after each round, computed when first read, so a
+        trace a pool worker sends back carries only its rewards and means."""
+        return self.mu_star * np.arange(1, self.horizon + 1) - np.cumsum(
+            self.rewards)
 
     def checkpoints(self):
         """Round indices 2^0, 2^1, ..., capped at the horizon."""
@@ -109,7 +118,7 @@ class RegretTrace:
             raise ValidationError(
                 "trace 'rewards' and 'means' must hold 'horizon' values")
         return RegretTrace(algorithm, instance, seed, horizon, mu_star,
-                           rewards, means, _regret_from(mu_star, rewards))
+                           rewards, means)
 
 
 def _hex_list(a):
@@ -118,11 +127,6 @@ def _hex_list(a):
                               return_inverse=True)
     hexes = np.array([float(v).hex() for v in bits.view(float)], dtype=object)
     return hexes[inverse].tolist()
-
-
-def _regret_from(mu_star, rewards):
-    t = np.arange(1, len(rewards) + 1)
-    return mu_star * t - np.cumsum(rewards)
 
 
 def _is_int(value):
@@ -412,8 +416,8 @@ def _materialize(config, seed):
     if sp.space_from_descriptor(config.space).descriptor() != space.descriptor():
         raise ValidationError(
             "config field 'space' differs from the instance's 'space'")
-    inst_rng = np.random.default_rng([seed, 0])
-    alg_rng = np.random.default_rng([seed, 1])
+    inst_rng = default_rng([seed, 0])
+    alg_rng = default_rng([seed, 1])
     session = build_algorithm(config.algorithm, space, alg_rng)
     if config.mode is not None and config.mode != session.mode:
         raise ValidationError(
@@ -425,8 +429,12 @@ def run_match(config, seed=None):
     seed = config.seed if seed is None else seed
     instance, session, inst_rng = _materialize(config, seed)
     horizon = config.horizon
-    rewards = np.empty(horizon)
-    means = np.empty(horizon)
+    try:
+        rewards, means = np.empty(horizon), np.empty(horizon)
+    except (ValueError, MemoryError):
+        raise ValidationError(
+            f"config field 'horizon' is too large to allocate: {horizon}"
+        ) from None
     actions = [] if config.record_actions else None
     uniforms = _Uniforms(inst_rng)
     if session.mode == "bandit":
@@ -465,17 +473,11 @@ def run_match(config, seed=None):
         algorithm=config.algorithm.get("name", "unknown"),
         instance=config.instance.get("kind", "unknown"),
         seed=seed, horizon=horizon, mu_star=instance.mu_star,
-        rewards=rewards, means=means,
-        cum_regret=_regret_from(instance.mu_star, rewards),
-        actions=actions, info=dict(session.info))
+        rewards=rewards, means=means, actions=actions, info=dict(session.info))
 
 
 # ---------------------------------------------------------------------------
 # replicates
-
-
-def _replicate_worker(config_dict, seed):
-    return run_match(ExperimentConfig.from_dict(config_dict), seed=seed)
 
 
 @dataclass
@@ -514,18 +516,16 @@ def run_replicates(config, seeds, parallelism=1):
     seeds = list(seeds)
     if len(set(seeds)) != len(seeds):
         raise ValidationError("replicate seeds must be distinct")
-    cd = config.to_dict()
     workers = min(count(parallelism, "'parallelism'"), len(seeds),
                   os.cpu_count() or 1)
     if workers <= 1:
-        traces = [_replicate_worker(cd, s) for s in seeds]
+        traces = [run_match(config, s) for s in seeds]
     else:
         # multiprocessing loads only when a pool starts
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            traces = list(pool.map(_replicate_worker, [cd] * len(seeds),
-                                   seeds))
+            traces = list(pool.map(run_match, [config] * len(seeds), seeds))
     return traces, aggregate_traces(traces)
 
 

@@ -647,7 +647,7 @@ def _reward_and_mean_arrays(draw):
 
 def _trace(rewards, means, mu_star):
     return hn.RegretTrace("ucb1", "arms", 7, len(rewards), mu_star, rewards,
-                          means, hn._regret_from(mu_star, rewards))
+                          means)
 
 
 def _same_after_hex(a, b):

@@ -243,10 +243,9 @@ def test_completion_adapter_mean_preserving():
     rec = Recorder()
     adapter = bd.CompletionAdapterSession(rec, np.random.default_rng(1),
                                           "identity")
-    for _ in range(20000):
-        adapter.choose()
-        adapter.observe(0.73)
+    drive(adapter, 20000, lambda t, a: 0.73)
     vals = np.array(rec.feedback)
+    assert len(vals) == 20000
     assert set(np.unique(vals)) <= {0.0, 1.0}
     assert abs(vals.mean() - 0.73) <= 3 * 0.45 / math.sqrt(len(vals))
 
@@ -257,7 +256,13 @@ def test_completion_adapter_rounds_actions():
     adapter = bd.CompletionAdapterSession(inner, np.random.default_rng(0),
                                           "dyadic:20")
     rng = np.random.default_rng(2)
-    for t in range(1, 50):
-        x = adapter.choose().bet
-        assert abs(x - inner.choose().bet) <= 2.0 ** -t
-        adapter.observe(float(rng.random() < 0.5))
+    rounded = []  # (adapter round, played point, inner session's point)
+
+    def feedback(t, action):
+        rounded.append((t + 1, action.bet, inner.choose().bet))
+        return float(rng.random() < 0.5)
+
+    drive(adapter, 49, feedback)
+    assert [t for t, _x, _y in rounded] == list(range(1, 50))
+    for t, x, y in rounded:
+        assert abs(x - y) <= 2.0 ** -t

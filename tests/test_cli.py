@@ -368,10 +368,16 @@ _LEVELS = [{"kind": "all"}, {"kind": "points", "points": [1.0], "colour": 1}]
     ({"space": _FINITE, "instance": _ARMS,
       "algorithm": {"name": "completion_adapter", "inner": _UCB1,
                     "rounding": "dyadic:x"}}, "'rounding'"),
+    # a field whose default is a bool takes only a bool
+    ({"space": _FINITE, "instance": _ARMS, "record_actions": 1},
+     "'record_actions'"),
+    ({"space": _FINITE, "instance": _ARMS, "record_actions": "yes"},
+     "'record_actions'"),
 ], ids=["space-field", "instance-field", "depth-level-field",
         "algorithm-string", "instance-string", "space-string",
         "inner-string", "config-list", "experts-b-string", "experts-b-huge",
-        "rounding-number", "rounding-level-string"])
+        "rounding-number", "rounding-level-string", "record_actions-int",
+        "record_actions-string"])
 def test_simulate_malformed_descriptor_exits_1(tmp_path, capsys, config,
                                                message):
     if isinstance(config, dict):
@@ -431,7 +437,9 @@ def test_simulate_experts_b_must_be_a_finite_number(tmp_path, capsys, name,
     config = {"space": _DECOMPOSED, "instance": instance,
               "algorithm": {"name": name, "b": b}, "horizon": 8, "seed": 0}
     assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
-    assert "finite number" in capsys.readouterr().err
+    # a bool fails at the descriptor schema, which names the field
+    assert ("'b'" if b is True else "finite number") in (
+        capsys.readouterr().err)
 
 
 _PEAK = {"kind": "peak", "space": _INTERVAL, "peak": 0.5, "slope": 1.0,
@@ -487,7 +495,9 @@ def test_simulate_ucb1_list_arms_are_tree_leaves(tmp_path, capsys):
     ("scan_resolution", math.nan), ("scan_resolution", 2.0),
     # a scan grid of 10^12 steps, over the size budget of 2^20
     ("scan_resolution", 1e-12),
-    ("resolution", 0), ("resolution", -1.0), ("resolution", math.inf)])
+    ("resolution", 0), ("resolution", -1.0), ("resolution", math.inf),
+    # JSON true is not the number 1
+    ("scan_resolution", True), ("resolution", True)])
 def test_simulate_interval_resolution_out_of_range_exits_1(tmp_path, capsys,
                                                            algorithm, field,
                                                            value):
@@ -633,6 +643,9 @@ def _depth_peak(level):
     (_depth_peak({"kind": "interval", "bounds": [-math.inf, 0.5]}),
      "'bounds'"),
     (_depth_peak({"kind": "interval", "bounds": [0.9, 0.1]}), "'bounds'"),
+    # JSON true is not the number 1
+    (dict(_PEAK, slope=True), "'slope'"),
+    ({"kind": "constant", "space": _INTERVAL, "c": True}, "'c'"),
 ])
 def test_simulate_instance_field_of_wrong_form_exits_1(tmp_path, capsys,
                                                        instance, field):
@@ -645,7 +658,7 @@ def test_simulate_instance_field_of_wrong_form_exits_1(tmp_path, capsys,
     assert field in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("c", [1, 0, True])
+@pytest.mark.parametrize("c", [1, 0])
 @pytest.mark.parametrize("algorithm", [
     {"name": "ucb1", "arms": [0.0, 1.0]},
     {"name": "well_ordered_bandit"},
@@ -663,6 +676,36 @@ def test_simulate_noise_free_integer_mean(tmp_path, capsys, algorithm, c):
               "algorithm": algorithm, "horizon": 64, "seed": 0}
     assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 0
     assert "mean_regret=0.0000" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("levels, code", [(1023, 0), (1024, 1), (2000, 1)])
+def test_simulate_dyadic_levels_past_float_range(tmp_path, capsys, levels,
+                                                 code):
+    """2^1024 overflows a float: a grid that fine is refused when the
+    adapter is built, not in round 1024."""
+    config = {"space": _INTERVAL, "instance": _PEAK,
+              "algorithm": {"name": "completion_adapter",
+                            "inner": {"name": "phased_ucb1"},
+                            "rounding": f"dyadic:{levels}"},
+              "horizon": 1100, "seed": 0}
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == code
+    assert ("'rounding'" in capsys.readouterr().err) == bool(code)
+
+
+@pytest.mark.parametrize("horizon, options", [
+    (2 ** 62, []),
+    (2 ** 62, ["--replicates", "2", "--parallelism", "2"]),
+    # past the address space: numpy raises MemoryError before allocating
+    (2 ** 57, []),
+], ids=["2^62", "2^62-pool", "2^57"])
+def test_simulate_horizon_too_large_to_allocate_exits_1(tmp_path, capsys,
+                                                        horizon, options):
+    config = {"space": _INTERVAL, "instance": _PEAK,
+              "algorithm": {"name": "phased_ucb1"}, "horizon": horizon,
+              "seed": 0}
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]
+                    + options) == 1
+    assert "'horizon'" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

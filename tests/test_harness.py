@@ -1,6 +1,7 @@
 import concurrent.futures
 import gc
 import math
+import pickle
 import weakref
 from unittest import mock
 
@@ -52,6 +53,20 @@ def test_horizon_one_regret_is_first_gap():
     assert trace.mu_star == pytest.approx(0.7)
     assert trace.means[0] == pytest.approx(0.3)
     assert trace.cum_regret[0] == pytest.approx(0.7 - trace.rewards[0])
+
+
+def test_regret_is_computed_when_first_read():
+    """A trace carries no regret until it is read, so a pickled one, as a
+    pool worker returns it, holds only its rewards and means; the copy
+    reads the same bits."""
+    trace = hn.run_match(_arms_config(horizon=64))
+    assert "cum_regret" not in trace.__dict__
+    copy = pickle.loads(pickle.dumps(trace))
+    assert "cum_regret" not in copy.__dict__
+    regret = trace.mu_star * np.arange(1, 65) - np.cumsum(trace.rewards)
+    assert trace.cum_regret.tobytes() == regret.tobytes()
+    assert "cum_regret" in trace.__dict__
+    assert copy.cum_regret.tobytes() == regret.tobytes()
 
 
 def test_pseudo_regret_matches_under_zero_noise():
@@ -113,16 +128,30 @@ def _checked_actions(monkeypatch, config, cls=bd.Session):
 
 
 def test_run_loop_contract_one_round_actions(monkeypatch):
-    # the completion adapter plays its inner session's blocks one round at
-    # a time, and an inner UCB1 phase as one action
+    # the completion adapter plays each inner action, a block of the inner
+    # session's sweep or commit or an inner UCB1 phase, as one action that
+    # pulls the match's rounds one at a time, as its rounding depends on
+    # the round
+    pulled = []
+    block = hn._Pulls.block
+
+    def logged_block(self, x, t, n, start):
+        pulled.append(n)
+        return block(self, x, t, n, start)
+
+    monkeypatch.setattr(hn._Pulls, "block", logged_block)
     config = _arms_config(horizon=300, record_actions=True)
     config.algorithm = {"name": "completion_adapter", "rounding": "identity",
                         "inner": {"name": "well_ordered_bandit"}}
     chosen = _checked_actions(monkeypatch, config, bd.CompletionAdapterSession)
-    assert {a.rounds for a in chosen} == {1}
+    assert all(a.play is not None for a in chosen)
+    assert max(a.rounds for a in chosen) > 1
+    assert pulled == [1] * 300
+    pulled.clear()
     config.algorithm["inner"] = _arms_config().algorithm
     chosen = _checked_actions(monkeypatch, config, bd.CompletionAdapterSession)
     assert len(chosen) == 1 and chosen[0].play is not None
+    assert pulled == [1] * 300
 
 
 @pytest.mark.parametrize("seed", [0, 1])

@@ -1,9 +1,5 @@
-"""Every name a package module imports is used in that module, and the
-package loads no process pool until one starts.
-
-`__init__.py` is left out of the first check: its imports are the
-package's exports.
-"""
+"""Every name a package module imports is used in that module, and
+importing the package loads no module its caller did not ask for."""
 
 import ast
 import os
@@ -14,7 +10,7 @@ import sys
 import pytest
 
 _PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "banditlab"
-_MODULES = sorted(p for p in _PACKAGE.glob("*.py") if p.name != "__init__.py")
+_MODULES = sorted(_PACKAGE.glob("*.py"))
 
 
 def _unused_imports(source):
@@ -48,13 +44,24 @@ def test_module_has_no_unused_import(path):
     assert _unused_imports(path.read_text()) == []
 
 
-def test_import_loads_no_process_pool():
-    """`multiprocessing` loads only when `run_replicates` starts a pool, so
-    a serial run and every other command go without it."""
-    code = ("import sys, banditlab, banditlab.cli; "
-            "print('concurrent.futures.process' in sys.modules)")
+def _loaded(imports):
+    """(the banditlab modules, sorted; whether the process pool is loaded)
+    in a fresh interpreter after `import <imports>`."""
+    code = (f"import sys, {imports}; print(repr((sorted(m for m in "
+            "sys.modules if m.startswith('banditlab')), "
+            "'concurrent.futures.process' in sys.modules)))")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(_PACKAGE.parent), os.environ.get("PYTHONPATH", "")]))
     out = subprocess.run([sys.executable, "-c", code], env=env,
                          capture_output=True, text=True, check=True)
-    assert out.stdout.strip() == "False"
+    return ast.literal_eval(out.stdout)
+
+
+def test_import_loads_no_process_pool():
+    """`multiprocessing` loads only when `run_replicates` starts a pool, so
+    a serial run and every other command go without it.  The package
+    re-exports nothing: `import banditlab` loads no submodule, and
+    `import banditlab.harness` loads no `banditlab.verify`."""
+    assert _loaded("banditlab, banditlab.cli")[1] is False
+    assert _loaded("banditlab") == (["banditlab"], False)
+    assert "banditlab.verify" not in _loaded("banditlab.harness")[0]
