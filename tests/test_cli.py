@@ -645,7 +645,6 @@ def _depth_peak(level):
     (_depth_peak({"kind": "interval", "bounds": [0.9, 0.1]}), "'bounds'"),
     # JSON true is not the number 1
     (dict(_PEAK, slope=True), "'slope'"),
-    ({"kind": "constant", "space": _INTERVAL, "c": True}, "'c'"),
 ])
 def test_simulate_instance_field_of_wrong_form_exits_1(tmp_path, capsys,
                                                        instance, field):
@@ -658,7 +657,7 @@ def test_simulate_instance_field_of_wrong_form_exits_1(tmp_path, capsys,
     assert field in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("c", [1, 0])
+@pytest.mark.parametrize("c", [1, 0, True])
 @pytest.mark.parametrize("algorithm", [
     {"name": "ucb1", "arms": [0.0, 1.0]},
     {"name": "well_ordered_bandit"},
@@ -668,14 +667,20 @@ def test_simulate_instance_field_of_wrong_form_exits_1(tmp_path, capsys,
 ])
 def test_simulate_noise_free_integer_mean(tmp_path, capsys, algorithm, c):
     """Without noise a pull is the mean as the instance returns it; an int
-    mean is played as its float."""
+    mean is played as its float. JSON true is not the number 1: the
+    descriptor schema refuses it and names the field."""
     space = sps.ConvergentSpace(100).descriptor()
     config = {"space": space,
               "instance": {"kind": "constant", "space": space, "c": c,
                            "noise": "none"},
               "algorithm": algorithm, "horizon": 64, "seed": 0}
-    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 0
-    assert "mean_regret=0.0000" in capsys.readouterr().out
+    path = _write(tmp_path, "cfg.json", config)
+    if c is True:
+        assert cli.main(["simulate", path]) == 1
+        assert "'c'" in capsys.readouterr().err
+    else:
+        assert cli.main(["simulate", path]) == 0
+        assert "mean_regret=0.0000" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("levels, code", [(1023, 0), (1024, 1), (2000, 1)])
