@@ -25,27 +25,38 @@ _POINT_BALL_RADIUS = 1e-15  # stands in for a closed ball of radius zero
 @dataclass(frozen=True, slots=True)
 class Action:
     """Bet `bet` and query every point of `queries` for `rounds` rounds in a
-    row.  The session is then sent the feedback of those rounds, added in
-    round order from 0.0: in bandit mode the bet's rewards, in experts mode
-    the column sums of the query feedback as a float64 array.
+    row (math.inf: a phase without end).  `bandits.play` plays its rounds
+    t..t+n-1, n at most `rounds`, or its own play(pulls, t, n) does, and
+    the session is sent what that returns.
 
-    A bandit action with `play` plays its own rounds: the match calls
-    play(pulls, t, n) for its rounds t..t+n-1, n at most `rounds` (which
-    is math.inf for a phase without end), and sends the session what it
-    returns.  In `pulls`, arm(x) is (pull, mean) of point x: pull is x's
-    reward as a Python float (never an int or a numpy scalar) when it is
-    constant, else the function of the round that returns it, and a pull
-    is told apart by `pull.__class__ is float`.  Whoever pulls writes each
-    round's reward, mean and bet into `rewards`, `means` and `bets` (None:
-    not recorded); block(x, t, n, start) plays and records x in rounds
+    In `pulls`, arm(x) is (pull, mean) of point x: pull is x's reward as a
+    Python float (never an int or a numpy scalar) when it is constant,
+    else the function of the round that returns it, and a pull is told
+    apart by `pull.__class__ is float`.  Whoever pulls writes each round's
+    reward, mean and bet into `rewards`, `means` and `bets` (None: not
+    recorded).  block(x, t, n, start) plays and records x in rounds
     t..t+n-1 and returns their rewards added in round order onto start.
-    cycle(xs, t, n), asked only of points whose pulls are all constant,
-    plays and records xs[i mod m] in round t + i of rounds t..t+n-1."""
+    experts(bet, queries, t, n) plays and records the bet likewise and
+    returns the column sums of the query feedback, added in round order
+    from 0.0, as a float64 array.  cycle(xs, t, n), asked only of points
+    whose pulls are all constant, plays and records xs[i mod m] in round
+    t + i of rounds t..t+n-1."""
 
     bet: object
     queries: tuple = ()
     rounds: int = 1
     play: object = None
+
+
+def play(action, pulls, t, n):
+    """The feedback of rounds t..t+n-1 of `action`, played through `pulls`
+    by its own `play`, as an experts block if it has queries, else as a
+    bandit block."""
+    if action.play is not None:
+        return action.play(pulls, t, n)
+    if action.queries:
+        return pulls.experts(action.bet, action.queries, t, n)
+    return pulls.block(action.bet, t, n, 0.0)
 
 
 class Session:
@@ -454,11 +465,12 @@ class CompletionAdapterSession(Session):
     that `_Rerandomized` plays, and the inner session is sent its bits
     added in round order.  `rounding` is "identity", "dyadic" (20 levels)
     or "dyadic:<levels>", at most 1023 levels: x * 2^1024 overflows a
-    float."""
+    float.  Dyadic rounding needs the interval space, whose every grid
+    point is a point; identity holds on every space."""
 
     name = "completion_adapter"
 
-    def __init__(self, inner, rng, rounding="dyadic"):
+    def __init__(self, inner, space, rng, rounding="dyadic"):
         super().__init__()
         if inner.mode != "bandit":
             raise ValidationError(
@@ -468,6 +480,9 @@ class CompletionAdapterSession(Session):
         if rounding == "identity":
             self.rounding = identity_rounding
         elif kind == "dyadic" and levels.isdecimal() and int(levels) <= 1023:
+            if space.kind != "interval":
+                raise ValidationError(f"'rounding' {rounding!r} needs the "
+                                      f"interval space, not {space.kind!r}")
             self.rounding = dyadic_rounding(int(levels))
         else:
             raise ValidationError(f"unknown 'rounding' {rounding!r} (dyadic "
@@ -512,9 +527,7 @@ class _Rerandomized:
 
     def __call__(self, pulls, t, n):
         self.pulls = pulls
-        if self.action.play is None:
-            return self.block(self.action.bet, t, n, 0.0)
-        return self.action.play(self, t, n)
+        return play(self.action, self, t, n)
 
     def arm(self, x):
         return (lambda t: self.block(x, t, 1, 0.0)), 0.0

@@ -3,17 +3,17 @@
 A run is fully determined by (config, seed): instance noise comes from the
 stream [seed, 0] and algorithm randomness from [seed, 1], so the same seed
 exposes identical noise to every algorithm.  Every session yields Actions,
-blocks of rounds, and one loop plays them with the feedback sampler of the
-session's mode.  Every draw of a match reads the next uniforms of one
-`_Uniforms` over the noise stream, and the match's end rewinds it to where
-draws one by one leave it.  In bandit mode `_Pulls` resolves each point's
-pull once per match: a Bernoulli pull reads one uniform, a block of 32
-rounds or more compares its rounds' uniforms with the mean in numpy, a
-sign-mixture pull reads one per drawn sign, and a pull that draws nothing
-is a constant.  A UCB1 phase is one action that plays its own rounds
-through the pulls, or writes them at once when all its arms pay one
-constant that UCB1 provably plays round robin.  In experts mode
-`_RoundSampler` samples a block in numpy, one matrix-vector product per
+blocks of rounds, and one loop plays each, in every mode, through
+`bandits.play` and the match's `_Pulls`.  Every draw of a match reads the
+next uniforms of one `_Uniforms` over the noise stream, and the match's
+end rewinds it to where draws one by one leave it.  `_Pulls` resolves
+each point's pull once per match: a Bernoulli pull reads one uniform, a
+block of 32 rounds or more compares its rounds' uniforms with the mean in
+numpy, a sign-mixture pull reads one per drawn sign, and a pull that
+draws nothing is a constant.  A UCB1 phase is one action that plays its
+own rounds through the pulls, or writes them at once when all its arms
+pay one constant that UCB1 provably plays round robin.  `_RoundSampler`
+samples an experts block in numpy, one matrix-vector product per
 distinct sign row.  Bernoulli query sums are integer counts, exact in any
 order, so each chunk adds its column totals; sign-mixture and noise-free
 sums keep the round-order accumulate.
@@ -27,7 +27,6 @@ import inspect
 import itertools
 import json
 import math
-import numbers
 import operator
 import os
 from array import array
@@ -99,9 +98,8 @@ class RegretTrace:
             if not isinstance(value, list):
                 raise ValidationError(
                     f"trace field {key!r} must be a list, not {value!r:.40}")
-        if not _is_int(seed):
-            raise ValidationError(
-                f"trace field 'seed' must be an int, not {seed!r}")
+        seed = count(seed, "trace field 'seed'", 0)
+        horizon = count(horizon, "trace field 'horizon'")
         try:
             mu_star = float.fromhex(mu_star)
             # each distinct hex string is decoded once
@@ -111,9 +109,6 @@ class RegretTrace:
                 for v in (rewards, means))
         except (TypeError, ValueError) as exc:
             raise ValidationError(f"bad hex float in trace: {exc}") from None
-        if not _is_int(horizon) or horizon < 1:
-            raise ValidationError(
-                f"trace field 'horizon' must be an int >= 1, not {horizon!r}")
         if not len(rewards) == len(means) == horizon:
             raise ValidationError(
                 "trace 'rewards' and 'means' must hold 'horizon' values")
@@ -127,10 +122,6 @@ def _hex_list(a):
                               return_inverse=True)
     hexes = np.array([float(v).hex() for v in bits.view(float)], dtype=object)
     return hexes[inverse].tolist()
-
-
-def _is_int(value):
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 # ---------------------------------------------------------------------------
@@ -287,22 +278,24 @@ _NUMPY_BLOCK = 32  # a bandit block this long costs less in numpy than pulled
 
 
 class _Pulls:
-    """The pulls of one bandit match, the `pulls` of `bandits.Action`: the
-    rewards of `bandit_reward(x, rng)` drawn from the match's `_Uniforms`,
-    written with the means into the match's arrays through memoryviews,
-    which store a Python float without a numpy scalar.  arm(x) resolves
-    x's (pull, mean) once per match, the mean as a Python float: the pull
-    is x's reward in every round as a float when x draws nothing (noise
-    "none", or a sign row without a drawn sign), else the function of
-    round t that returns it.  block() plays one arm's rounds, a Bernoulli
-    block of `_NUMPY_BLOCK` rounds or more in numpy; cycle() writes a
-    round robin of constant pulls as array repeats."""
+    """The pulls of one match, the `pulls` of `bandits.Action`: the rewards
+    of `bandit_reward(x, rng)` drawn from the match's `_Uniforms`, written
+    with the means into the match's arrays through memoryviews, which
+    store a Python float without a numpy scalar.  arm(x) resolves x's
+    (pull, mean) once per match, reading no uniform, the mean as a Python
+    float: the pull is x's reward in every round as a float when x draws
+    nothing (noise "none", or a sign row without a drawn sign), else the
+    function of round t that returns it.  block() plays one arm's rounds,
+    a Bernoulli block of `_NUMPY_BLOCK` rounds or more in numpy; cycle()
+    writes a round robin of constant pulls as array repeats; experts()
+    samples an experts block with the match's `_RoundSampler`."""
 
     def __init__(self, instance, uniforms, rewards, means, bets):
         self.rewards, self.means = memoryview(rewards), memoryview(means)
         self.bets = bets
         self._mean = instance.mean
         self._arms = {}
+        self._sampler = _RoundSampler(instance, uniforms)
         uniform = uniforms.next
         self._uniforms = None  # the stream of Bernoulli numpy blocks
         if instance.uniformly_lipschitz:
@@ -350,6 +343,14 @@ class _Pulls:
         if self.bets is not None:
             self.bets.extend((list(xs) * laps)[:n])
 
+    def experts(self, bet, queries, t, n):
+        sums, self.rewards.obj[t:t + n] = self._sampler.rewards(
+            queries, bet, n)
+        self.means.obj[t:t + n] = self.arm(bet)[1]
+        if self.bets is not None:
+            self.bets.extend([bet] * n)
+        return sums
+
 
 def _sign_pulls(instance, uniform):
     """pull_of(x, mu) of a sign mixture: x's pull adds its (value, p) row
@@ -389,15 +390,8 @@ class ExperimentConfig:
     record_actions: bool = False
 
     def __post_init__(self):
-        for name in ("horizon", "seed"):
-            value = getattr(self, name)
-            if not _is_int(value):
-                raise ValidationError(
-                    f"config field {name!r} must be an int, not {value!r}")
-        if self.horizon < 1:
-            raise ValidationError("horizon must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("config field 'seed' must be >= 0")
+        count(self.horizon, "config field 'horizon'")
+        count(self.seed, "config field 'seed'", 0)
 
     def to_dict(self):
         return {"space": self.space, "instance": self.instance,
@@ -426,7 +420,7 @@ def _materialize(config, seed):
 
 
 def run_match(config, seed=None):
-    seed = config.seed if seed is None else seed
+    seed = count(config.seed if seed is None else seed, "match 'seed'", 0)
     instance, session, inst_rng = _materialize(config, seed)
     horizon = config.horizon
     try:
@@ -437,30 +431,13 @@ def run_match(config, seed=None):
         ) from None
     actions = [] if config.record_actions else None
     uniforms = _Uniforms(inst_rng)
-    if session.mode == "bandit":
-        pulls = _Pulls(instance, uniforms, rewards, means, actions)
-    else:
-        pulls, sampler = None, _RoundSampler(instance, uniforms)
-        mus = {}  # bet -> its mean, computed once per match
+    pulls = _Pulls(instance, uniforms, rewards, means, actions)
     try:
         t = 0
         while t < horizon:
             action = session.choose()
             n = min(action.rounds, horizon - t)
-            if action.play is not None:
-                feedback = action.play(pulls, t, n)
-            elif pulls is not None:
-                feedback = pulls.block(action.bet, t, n, 0.0)
-            else:
-                bet = action.bet
-                mu = mus.get(bet)
-                if mu is None:
-                    mu = mus[bet] = instance.mean(bet)
-                feedback, rewards[t:t + n] = sampler.rewards(
-                    action.queries, bet, n)
-                means[t:t + n] = mu
-                if actions is not None:
-                    actions.extend([bet] * n)
+            feedback = bandits.play(action, pulls, t, n)
             t += n
             # a block cut by the horizon is not observed; one that ends at
             # it is, which records the session's next phase in info
@@ -513,7 +490,8 @@ def run_replicates(config, seeds, parallelism=1):
     """One trace per seed plus checkpoint aggregates; results, and the
     error of the first failing seed, are the same for any parallelism
     degree.  The pool starts no more workers than seeds or CPUs."""
-    seeds = list(seeds)
+    # checked before any pool starts; None would read as the config's seed
+    seeds = [count(s, "replicate 'seed'", 0) for s in seeds]
     if len(set(seeds)) != len(seeds):
         raise ValidationError("replicate seeds must be distinct")
     workers = min(count(parallelism, "'parallelism'"), len(seeds),
@@ -573,7 +551,7 @@ def export_csv(traces, path):
         writer.writerow(_CSV_COLUMNS)
         for rep, tr in enumerate(traces):
             for t in tr.checkpoints():
-                writer.writerow([t, repr(tr.cum_regret[t - 1]), rep,
+                writer.writerow([t, float(tr.cum_regret[t - 1]), rep,
                                  tr.algorithm, tr.instance, tr.seed])
 
 

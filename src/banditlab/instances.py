@@ -20,7 +20,9 @@ walk afresh on every call; the instance keeps no walk.
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -371,20 +373,16 @@ class LineageInstance(_SignMixture):
         self.roots = self._compile(tree.root, 0)
 
     def _pick_lineage(self):
-        choice = {}
-        if self.lineage_rule == "seeded":
-            rng = np.random.default_rng(self.seed)
-            for node, depth in self.tree.nodes():
-                if node.children and depth < self.depth_cap:
-                    choice[node.path] = int(rng.integers(2))
-        elif self.lineage_rule in ("leftmost", "rightmost"):
-            idx = 0 if self.lineage_rule == "leftmost" else 1
-            for node, depth in self.tree.nodes():
-                if node.children and depth < self.depth_cap:
-                    choice[node.path] = idx
-        else:
+        """The designated child of every split node above depth_cap: one
+        seeded draw per node in preorder, or the constant child."""
+        rules = ("leftmost", "rightmost", "seeded")
+        if self.lineage_rule not in rules:
             raise ValidationError(f"unknown lineage rule {self.lineage_rule!r}")
-        return choice
+        rng = np.random.default_rng(self.seed)
+        return {node.path: (int(rng.integers(2)) if self.lineage_rule ==
+                            "seeded" else rules.index(self.lineage_rule))
+                for node, depth in self.tree.nodes()
+                if node.children and depth < self.depth_cap}
 
     def _compile(self, node, depth):
         """Terms of node's children, keyed by path and cut at depth_cap: the
@@ -449,7 +447,7 @@ class LogTEnsembleInstance(PayoffInstance):
             if not b < a / 2.0:
                 raise InvalidScheduleError(
                     "sequence must contract toward x* by more than a factor 2")
-        if not 0 <= i <= len(self.seq):
+        if count(i, "logt field 'i'", 0) > len(self.seq):
             raise ValidationError("member index out of range")
         self.i = i
 
@@ -565,9 +563,16 @@ class MaxMinLCDInstance(_SignMixture):
         self.b = float(b)
         self.depth_cap = count(depth_cap, "maxminlcd field 'depth_cap'")
         self.seed = seed
-        self.n_list = list(n_list) if n_list is not None else [3] * self.depth_cap
-        if len(self.n_list) != self.depth_cap or any(n < 2 for n in self.n_list):
+        if n_list is not None and (len(n_list) != self.depth_cap
+                                   or any(n < 2 for n in n_list)):
             raise ValidationError("need n >= 2 children at each level")
+        # level l holds prod_{i <= l} n_i >= 2^l terms, so 20 levels pass
+        # the budget and no list of a huge depth_cap is built
+        widths = itertools.accumulate(
+            (n_list or [3] * min(self.depth_cap, 20))[:20], operator.mul)
+        sp._within_budget(sum(widths), "maxminlcd term forest of 'n_list' "
+                          "over 'depth_cap' levels")
+        self.n_list = list(n_list) if n_list is not None else [3] * self.depth_cap
         self.metadata["guarantee_breaking"] = True
         rng = np.random.default_rng(seed)
         self.radii = []
@@ -576,9 +581,9 @@ class MaxMinLCDInstance(_SignMixture):
         for n in self.n_list:
             r_prev = r_prev / (4.0 * n)
             self.radii.append(r_prev)
-        self.roots = self._grow(0.5, 0.25, 0, rng)
         if sum(self.radii) >= 1.0 / 3.0:
             raise ValidationError("radius sum must stay below 1/3")
+        self.roots = self._grow(0.5, 0.25, 0, rng)
 
     def _grow(self, center, r_prev, level, rng):
         if level >= self.depth_cap:

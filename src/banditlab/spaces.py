@@ -26,7 +26,7 @@ from .errors import (
 )
 
 _EPS = 1e-12
-_BUDGET = 2 ** 20  # the most points any covering, scan grid or point set holds
+_BUDGET = 2 ** 20  # the most points or balls any structure holds
 
 
 def _within_budget(points, what):
@@ -836,6 +836,12 @@ _CHILD_SHRINK = 0.49  # slightly under d/2 so the sibling inequality is strict
 def build_ball_tree(space, depth_cap):
     """Root (y, 1); each node (y, r) gets children (y, r') and (y', r') where
     y' is a designated point of B(y, r/4) and r' = 0.49 d(y, y')."""
+    # 2^(depth_cap + 1) - 1 nodes, bounded through the depth: 2^depth_cap
+    # of a huge depth would not fit in memory
+    if depth_cap >= _BUDGET.bit_length() - 1:
+        raise ValidationError(
+            f"a ball tree of 'tree_depth' {depth_cap} asks for "
+            f"2^{depth_cap + 1} - 1 nodes, over the budget of {_BUDGET}")
     if not space.has_perfect_subspace:
         raise UnsupportedCapabilityError(
             f"{space.kind} space has no perfect-subspace sampler")

@@ -43,13 +43,18 @@ def kl_divergence(p, q):
     return _kl_arrays(p.probs, q.probs)
 
 
+def _kl_terms(p, q):
+    """p ln(p/q) elementwise: 0 where p = 0, whatever q is, and +inf where
+    p > 0 = q."""
+    terms = np.where(p > 0, math.inf, 0.0)
+    both = (p > 0) & (q > 0)
+    terms[both] = p[both] * np.log(p[both] / q[both])
+    return terms
+
+
 def _kl_arrays(pv, qv):
-    pv = np.asarray(pv, dtype=float).ravel()
-    qv = np.asarray(qv, dtype=float).ravel()
-    if np.any((pv > 0) & (qv == 0)):
-        return math.inf
-    mask = pv > 0
-    return float(np.sum(pv[mask] * np.log(pv[mask] / qv[mask])))
+    pv, qv = (np.asarray(v, dtype=float).ravel() for v in (pv, qv))
+    return float(np.sum(_kl_terms(pv, qv)[pv > 0]))
 
 
 def _bernoulli_kl(a, b):
@@ -74,28 +79,16 @@ def kl_chain_check(p, q):
     n = p.ndim
     rhs = 0.0
     for i in range(n):
-        # marginal over the first i+1 coordinates and over the first i
-        p_head = p.sum(axis=tuple(range(i + 1, n)))
-        q_head = q.sum(axis=tuple(range(i + 1, n)))
-        p_prefix = p_head.sum(axis=i, keepdims=True)
-        q_prefix = q_head.sum(axis=i, keepdims=True)
-        it = np.nditer(p_head, flags=["multi_index"])
-        for pv in it:
-            pv = float(pv)
-            if pv == 0:
-                continue
-            idx = it.multi_index
-            prefix_idx = idx[:i] + (0,) + idx[i + 1:]
-            p_cond = pv / float(p_prefix[prefix_idx])
-            q_head_v = float(q_head[idx])
-            q_prefix_v = float(q_prefix[prefix_idx])
-            if q_head_v == 0 or q_prefix_v == 0:
-                rhs = math.inf
-                break
-            q_cond = q_head_v / q_prefix_v
-            rhs += pv * math.log(p_cond / q_cond)
-        if rhs == math.inf:
-            break
+        # coordinate i's law given the first i, weighted by their law; a
+        # null prefix has the null conditional law
+        laws = []
+        for joint in (p, q):
+            head = joint.sum(axis=tuple(range(i + 1, n)))
+            prefix = head.sum(axis=i, keepdims=True)
+            laws.append((prefix, np.divide(head, prefix, where=prefix > 0,
+                                           out=np.zeros(head.shape))))
+        (p_prefix, p_cond), (_q_prefix, q_cond) = laws
+        rhs += float(np.sum(p_prefix * _kl_terms(p_cond, q_cond)))
     residual = abs(lhs - rhs) if math.isfinite(lhs) and math.isfinite(rhs) \
         else (0.0 if lhs == rhs else math.inf)
     return lhs, rhs, residual

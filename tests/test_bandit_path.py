@@ -392,7 +392,7 @@ class PerRoundExplSession(bn.Session):
 def _per_round_session(algorithm, space, rng):
     if algorithm["name"] == "completion_adapter":
         inner = _per_round_session(algorithm["inner"], space, rng)
-        return bn.CompletionAdapterSession(inner, rng, "dyadic:20")
+        return bn.CompletionAdapterSession(inner, space, rng, "dyadic:20")
     sweep = bn.ExplPrimeRun if algorithm["name"] == "cb_bandit" else bn.ExplRun
     return PerRoundExplSession(space, algorithm.get("f", "log_power:1"),
                                sweep)

@@ -224,7 +224,7 @@ def test_completion_adapter_identity_on_binary_rewards():
 
     plain = run(bd.UCB1Session(space, [0.0, 1.0]))
     adapted = run(bd.CompletionAdapterSession(
-        bd.UCB1Session(space, [0.0, 1.0]), np.random.default_rng(0),
+        bd.UCB1Session(space, [0.0, 1.0]), space, np.random.default_rng(0),
         "identity"))
     assert plain == adapted
 
@@ -241,8 +241,8 @@ def test_completion_adapter_mean_preserving():
                 self.feedback.append(v)
 
     rec = Recorder()
-    adapter = bd.CompletionAdapterSession(rec, np.random.default_rng(1),
-                                          "identity")
+    adapter = bd.CompletionAdapterSession(
+        rec, sps.FiniteSpace([0.0]), np.random.default_rng(1), "identity")
     drive(adapter, 20000, lambda t, a: 0.73)
     vals = np.array(rec.feedback)
     assert len(vals) == 20000
@@ -253,8 +253,8 @@ def test_completion_adapter_mean_preserving():
 def test_completion_adapter_rounds_actions():
     space = sps.IntervalSpace(well_order="coordinate")
     inner = bd.PhasedExplSession(space)
-    adapter = bd.CompletionAdapterSession(inner, np.random.default_rng(0),
-                                          "dyadic:20")
+    adapter = bd.CompletionAdapterSession(
+        inner, space, np.random.default_rng(0), "dyadic:20")
     rng = np.random.default_rng(2)
     rounded = []  # (adapter round, played point, inner session's point)
 

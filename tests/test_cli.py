@@ -603,6 +603,7 @@ def test_forge_output_pinned(capsys, kind, seed):
     assert digest == _FORGE_DIGESTS[kind, seed]
 
 
+_TREE = {"kind": "tree", "depth": 6}
 _LINEAGE = {"kind": "lineage", "space": _INTERVAL, "tree_depth": 3,
             "gamma": 0.3, "seed": 0}
 _NONCOMPACT = {"kind": "noncompact", "space": _INTERVAL,
@@ -645,6 +646,17 @@ def _depth_peak(level):
     (_depth_peak({"kind": "interval", "bounds": [0.9, 0.1]}), "'bounds'"),
     # JSON true is not the number 1
     (dict(_PEAK, slope=True), "'slope'"),
+    # each built a structure past the size budget of 2^20 for many seconds
+    ({"kind": "maxminlcd", "space": _INTERVAL, "depth_cap": 14},
+     "'depth_cap'"),
+    ({"kind": "maxminlcd", "space": _INTERVAL, "depth_cap": 1,
+      "n_list": [10 ** 7]}, "'n_list'"),
+    (dict(_LINEAGE, space={"kind": "tree", "depth": 200}, tree_depth=30),
+     "'tree_depth'"),
+    # a fractional member index failed in round 1
+    ({"kind": "logt", "space": _INTERVAL,
+      "seq": [0.5 + 3.0 ** -k for k in range(1, 6)], "i": 1.5,
+      "x_star": 0.5}, "'i'"),
 ])
 def test_simulate_instance_field_of_wrong_form_exits_1(tmp_path, capsys,
                                                        instance, field):
@@ -657,13 +669,38 @@ def test_simulate_instance_field_of_wrong_form_exits_1(tmp_path, capsys,
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("space, instance, inner", [
+    # dyadic points off the arms raised a KeyError, and tuples a TypeError
+    ({"kind": "finite", "coords": [0.3, 0.7]},
+     {"kind": "arms", "means": [0.3, 0.7]},
+     {"name": "ucb1", "arms": [0.3, 0.7]}),
+    (_TREE, {"kind": "peak", "peak": [0] * 6, "slope": 0.5, "c": 0.9},
+     {"name": "phased_ucb1"}),
+], ids=["arms", "tree"])
+@pytest.mark.parametrize("rounding", [None, "dyadic:3", "identity"])
+def test_simulate_dyadic_adapter_needs_the_interval(tmp_path, capsys, space,
+                                                    instance, inner,
+                                                    rounding):
+    algorithm = {"name": "completion_adapter", "inner": inner}
+    if rounding is not None:
+        algorithm["rounding"] = rounding
+    config = {"space": space, "instance": dict(instance, space=space),
+              "algorithm": algorithm, "horizon": 64, "seed": 0}
+    code = cli.main(["simulate", _write(tmp_path, "cfg.json", config)])
+    err = capsys.readouterr().err
+    assert (code, "'rounding'" in err) == (
+        (0, False) if rounding == "identity" else (1, True))
+
+
 @pytest.mark.parametrize("c", [1, 0, True])
 @pytest.mark.parametrize("algorithm", [
     {"name": "ucb1", "arms": [0.0, 1.0]},
     {"name": "well_ordered_bandit"},
     {"name": "phased_ucb1"},
+    # dyadic rounding needs the interval
     {"name": "completion_adapter", "inner": {"name": "ucb1",
-                                             "arms": [0.0, 1.0]}},
+                                             "arms": [0.0, 1.0]},
+     "rounding": "identity"},
 ])
 def test_simulate_noise_free_integer_mean(tmp_path, capsys, algorithm, c):
     """Without noise a pull is the mean as the instance returns it; an int

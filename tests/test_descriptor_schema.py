@@ -148,10 +148,12 @@ _MINIMAL_ALGORITHMS = {
                   lambda space, rng: bd.CBBanditSession(space)),
     "phased_ucb1": ({"name": "phased_ucb1"},
                     lambda space, rng: bd.PhasedUCB1Session(space)),
+    # dyadic rounding, the default, needs the interval
     "completion_adapter": (
-        {"name": "completion_adapter", "inner": {"name": "phased_ucb1"}},
+        {"name": "completion_adapter", "inner": {"name": "phased_ucb1"},
+         "rounding": "identity"},
         lambda space, rng: bd.CompletionAdapterSession(
-            bd.PhasedUCB1Session(space), rng)),
+            bd.PhasedUCB1Session(space), space, rng, "identity")),
     "double_feedback_expert": (
         {"name": "double_feedback_expert"},
         lambda space, rng: ex.DoubleFeedbackExpert(space)),

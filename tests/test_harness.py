@@ -215,6 +215,56 @@ def test_mean_runs_once_per_distinct_bet(monkeypatch):
     assert sorted(bets) == sorted(set(trace.actions))
 
 
+@pytest.mark.parametrize("algorithm", [
+    {"name": "well_ordered_bandit"}, {"name": "phased_ucb1"},
+    {"name": "naive_experts", "b": 1.0},
+    {"name": "double_feedback_expert"}])
+def test_run_match_plays_every_action_through_one_play(monkeypatch,
+                                                       algorithm):
+    """run_match calls bandits.play once per action, with the one pulls of
+    the match, in bandit and experts mode alike."""
+    calls = []
+    play = bd.play
+
+    def spy(action, pulls, t, n):
+        calls.append((action, pulls, t, n))
+        return play(action, pulls, t, n)
+
+    monkeypatch.setattr(bd, "play", spy)
+    space = sps.IntervalSpace(well_order="coordinate").descriptor()
+    config = hn.ExperimentConfig(
+        space=space, instance={"kind": "peak", "space": space, "peak": 0.8,
+                               "slope": 1.0, "c": 0.9},
+        algorithm=algorithm, horizon=300, record_actions=True)
+    chosen = _checked_actions(monkeypatch, config)
+    assert [action for action, *_ in calls] == chosen
+    assert len({id(pulls) for _, pulls, *_ in calls}) == 1
+    assert [t for *_, t, _n in calls] == [0, *np.cumsum(
+        [n for *_, n in calls])[:-1]]
+
+
+@pytest.mark.parametrize("seed", [-1, "a", 1.5, True, None, [1]])
+def test_replicate_and_match_seed_must_be_a_count(seed):
+    config = _arms_config(horizon=8)
+    with pytest.raises(ValidationError, match="'seed' must be an int >= 0"):
+        hn.run_replicates(config, [seed])
+    if seed is not None:  # run_match reads None as the config's seed
+        with pytest.raises(ValidationError,
+                           match="match 'seed' must be an int >= 0"):
+            hn.run_match(config, seed)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("horizon", 0, "config field 'horizon' must be an int >= 1, not 0"),
+    ("horizon", 2.0, "config field 'horizon' must be an int >= 1, not 2.0"),
+    ("seed", -1, "config field 'seed' must be an int >= 0, not -1"),
+])
+def test_config_count_fields_name_themselves(field, value, message):
+    with pytest.raises(ValidationError) as info:
+        _arms_config(**{field: value})
+    assert str(info.value) == message
+
+
 def test_mode_mismatch_rejected():
     config = _arms_config(horizon=8, mode="full")
     with pytest.raises(ValidationError):
@@ -480,6 +530,11 @@ def test_export_csv_layout(tmp_path):
     assert len(lines) == 1 + 2 * 5  # checkpoints 1..16 per replicate
     first = lines[1].split(",")
     assert first[0] == "1" and first[3] == "ucb1" and first[4] == "arms"
+    # every regret is a plain float that reads back bit for bit
+    regrets = [float(line.split(",")[1]) for line in lines[1:]]
+    expected = [tr.cum_regret[t - 1] for tr in traces
+                for t in tr.checkpoints()]
+    assert np.array(regrets).tobytes() == np.array(expected).tobytes()
 
 
 def test_json_round_trip_bit_exact(tmp_path):

@@ -82,6 +82,26 @@ def test_chain_rule_infinite_branch():
     assert lhs == math.inf and rhs == math.inf and residual == 0.0
 
 
+def test_kl_terms_null_support_rule():
+    terms = vf._kl_terms(np.array([0.0, 0.0, 0.5, 0.5]),
+                         np.array([0.0, 0.5, 0.0, 0.25]))
+    assert terms.tolist() == [0.0, 0.0, math.inf, 0.5 * math.log(2.0)]
+
+
+@pytest.mark.parametrize("p, q, kl", [
+    # a null prefix in both joints: its conditional laws are null too
+    ([[0.5, 0.5], [0.0, 0.0]], [[0.5, 0.5], [0.0, 0.0]], 0.0),
+    # q charges what p does not; p's null atoms add 0 whatever q is
+    ([[0.5, 0.0], [0.5, 0.0]], [[0.25, 0.25], [0.25, 0.25]], math.log(2.0)),
+    # p charges a q-null atom of a conditional law only
+    ([[0.5, 0.5], [0.0, 0.0]], [[0.5, 0.0], [0.25, 0.25]], math.inf),
+])
+def test_chain_rule_null_supports(p, q, kl):
+    lhs, rhs, residual = vf.kl_chain_check(np.array(p), np.array(q))
+    assert lhs == pytest.approx(kl) and rhs == pytest.approx(kl)
+    assert residual <= 1e-12
+
+
 def test_chain_rule_cap():
     p = np.full((2,) * 13, 2.0 ** -13)
     with pytest.raises(ValidationError):
