@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import spaces as sp
-from .errors import StructuralError, ValidationError
+from .errors import ValidationError
 
 _POINT_BALL_RADIUS = 1e-15  # stands in for a closed ball of radius zero
 
@@ -99,7 +99,8 @@ class Session:
 
 class ExplRun:
     """Bookkeeping for one exploration sweep: pull every point of a covering
-    set n times, drop losers, ask the ordering oracle about the rest."""
+    set n times, drop losers, ask the ordering oracle about the rest.
+    `require(space)` refuses a space without the order its result reads."""
 
     def __init__(self, space, k, n, r):
         if k < 1 or n < 1 or r <= 0:
@@ -114,14 +115,20 @@ class ExplRun:
         self.delta, points = sp.covering_oracle(self.space, k)
         return points
 
-    def run(self, act, value=float):
-        """The sweep as a generator: for every covering point x in order it
-        yields act(x), an action of n rounds, and sets sums[x] to
-        value(feedback), the round-order sum of x's n rewards; it returns
-        result()."""
-        for x in self.points:
-            self.sums[x] = value((yield act(x)))
-        return self.result()
+    @staticmethod
+    def require(space):
+        space.order_key(space.canonical_least())
+
+    def run(self, act, rounds, value=float):
+        """The sweep cut at `rounds` rounds, as a generator: for every
+        covering point x in order that starts before the cut it yields
+        act(x, m), an action of its m rounds, n or fewer at the cut, and sets
+        sums[x] to value(feedback), the round-order sum of x's rewards; it
+        returns result() if the whole sweep fits, else None."""
+        for x, start in zip(self.points, range(0, rounds, self.n)):
+            self.sums[x] = value((yield act(x, min(self.n, rounds - start))))
+        if len(self.points) * self.n <= rounds:
+            return self.result()
 
     def averages(self):
         return {x: self.sums[x] / self.n for x in self.points}
@@ -139,6 +146,10 @@ class ExplRun:
 class ExplPrimeRun(ExplRun):
     """Rank-stratified exploration: covers every Cantor-Bendixson rank class,
     pulls each point n times, and picks the largest-rank undominated point."""
+
+    @staticmethod
+    def require(space):
+        sp.cb_rank(space)
 
     def _cover(self, k):
         self.rank_of = {}
@@ -204,7 +215,8 @@ class PhasedExplSession(Session):
     completes, the previous commit point carries over.  The sweep ExplRun
     gives the well-ordered bandit; `CBBanditSession` sweeps with
     ExplPrimeRun.  Each sweep point is one action; so is the commit tail.
-    `f` is an exponent preset name or a function of t."""
+    `f` is an exponent preset name or a function of t.  A space without
+    the structure the sweep reads is refused here, before any round."""
 
     name = "well_ordered_bandit"
     sweep_cls = ExplRun
@@ -213,6 +225,7 @@ class PhasedExplSession(Session):
         super().__init__()
         self.space = space
         self.alpha = _resolve_alpha(f)
+        self.sweep_cls.require(space)
 
     def _run(self):
         commit = self.space.canonical_least()
@@ -226,17 +239,13 @@ class PhasedExplSession(Session):
                      "k": k, "n": n, "r": r, "explore_cost": cost,
                      "commit": commit, "completed": False}
             self.info["phases"].append(phase)
-            if cost <= T:
-                commit = yield from sweep.run(lambda x: Action(x, rounds=n))
-                phase["commit"] = commit
+            # a phase that ends mid-sweep takes no result
+            found = yield from sweep.run(lambda x, m: Action(x, rounds=m), T)
+            if found is not None:
+                commit = phase["commit"] = found
                 phase["completed"] = True
                 if cost < T:
                     yield Action(commit, rounds=T - cost)
-            else:
-                # the phase ends mid-sweep: the last point it reaches gets
-                # the rounds that are left, and no result is taken
-                for x, start in zip(sweep.points, range(0, T, n)):
-                    yield Action(x, rounds=min(n, T - start))
             rounds += T
 
 
@@ -380,10 +389,8 @@ class UCB1Session(Session):
     def __init__(self, space, arms):
         super().__init__()
         try:
-            self.arms = [tuple(x) if isinstance(x, list) else x for x in arms]
-            for x in self.arms:
-                space.validate_point(x)
-        except (StructuralError, TypeError) as exc:
+            self.arms = [space.point(x, "arms") for x in arms]
+        except TypeError as exc:
             raise ValidationError(f"field 'arms': {exc}") from None
         if not self.arms:
             raise ValidationError("field 'arms' needs at least one arm")

@@ -3,7 +3,8 @@
 Subcommands: simulate (run a config file), dimension (estimate a space's
 dimension), forge (emit a hard-instance descriptor with certificates),
 verify (named verification suites), fit (exponent fit on exported traces).
-Exit codes: 0 success, 1 validation failure, 2 runtime failure.
+Exit codes: 0 success; 1 an error the config or the command line causes;
+2 a file that cannot be written, or a forge or verify check that fails.
 """
 
 from __future__ import annotations
@@ -239,12 +240,9 @@ def main(argv=None):
         return 1 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except BanditLabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

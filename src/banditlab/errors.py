@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the field checks that
-raise them for configs and descriptors."""
+"""The package's one input error and the field checks that raise it: a
+point outside its space, a space without the structure an algorithm needs,
+a request finer than a space's resolution or a schedule that breaks its
+rule is a `ValidationError`, and the command line exits 1 on it."""
 
 import inspect
 import numbers
@@ -9,24 +11,8 @@ class BanditLabError(Exception):
     """Base class for all package errors."""
 
 
-class StructuralError(BanditLabError):
-    """A value does not belong to the structure it was used with."""
-
-
-class UnsupportedCapabilityError(BanditLabError):
-    """The space does not provide the oracle or structure required."""
-
-
-class ResolutionError(BanditLabError):
-    """The requested operation needs finer resolution than the representation has."""
-
-
-class InvalidScheduleError(BanditLabError):
-    """A schedule or parameter sequence violates its validity conditions."""
-
-
 class ValidationError(BanditLabError):
-    """A configuration or descriptor failed validation."""
+    """A config, descriptor, option or argument failed validation."""
 
 
 def _object(d, where):

@@ -23,13 +23,15 @@ class DoubleFeedbackExpert(Session):
     """Phases of length 2^i; peeks run an exploration sweep with
     k = n = floor(sqrt(T)) and r = 4 sqrt(T^{1/4}/n); bets replay the
     previous phase's sweep output, so bets never depend on current peeks.
-    Each sweep point is one action; so is the rest of the phase."""
+    Each sweep point is one action; so is the rest of the phase.  A space
+    without a well-order is refused here, before any round."""
 
     name = "double_feedback_expert"
     mode = "double"
 
     def __init__(self, space):
         super().__init__()
+        ExplRun.require(space)
         self.space = space
 
     def _run(self):
@@ -47,7 +49,7 @@ class DoubleFeedbackExpert(Session):
                      "explore_cost": cost, "completed": False}
             self.info["phases"].append(phase)
             next_bet = yield from sweep.run(
-                lambda x: Action(bet, queries=(x,), rounds=n),
+                lambda x, m: Action(bet, queries=(x,), rounds=m), T,
                 lambda sums: float(sums[0]))
             phase["completed"] = True
             if cost < T:

@@ -393,12 +393,6 @@ class ExperimentConfig:
         count(self.horizon, "config field 'horizon'")
         count(self.seed, "config field 'seed'", 0)
 
-    def to_dict(self):
-        return {"space": self.space, "instance": self.instance,
-                "algorithm": self.algorithm, "horizon": self.horizon,
-                "seed": self.seed, "mode": self.mode,
-                "record_actions": self.record_actions}
-
     @staticmethod
     def from_dict(d):
         return build(ExperimentConfig, d, "config")

@@ -28,8 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spaces as sp
-from .errors import (InvalidScheduleError, ValidationError, build, count,
-                     required)
+from .errors import ValidationError, build, count, required
 
 
 def needle_eval(node, x, space):
@@ -228,7 +227,7 @@ class PeakInstance(PayoffInstance):
 
     def __init__(self, space, peak, slope, c=0.9, noise="bernoulli"):
         super().__init__(space, noise)
-        space.validate_point(peak)
+        peak = space.point(peak, "peak")
         if not 0 < slope <= 1:
             raise ValidationError("slope must be in (0,1]")
         if not 0 < c <= 1:
@@ -329,12 +328,12 @@ def _lineage_deltas(r_star, gamma):
     for i, r_i in enumerate(r_star, 1):
         bound = 8.0 * i / r_i
         if math.log(bound) / (0.5 - gamma) > 700.0:  # 10 n_i overflows
-            raise InvalidScheduleError(f"depth-{i} threshold past float range")
+            raise ValidationError(f"depth-{i} threshold past float range")
         n_i = max(1, math.ceil(bound ** (1.0 / (0.5 - gamma))))
         for n in (n_i, n_i + 1, 2 * n_i, 10 * n_i):
             # at n_i the sides agree up to rounding, which scales with them
             if not n ** gamma < (r_i / (8.0 * i)) * math.sqrt(n) * (1 + 1e-9):
-                raise InvalidScheduleError("bias threshold scan failed")
+                raise ValidationError("bias threshold scan failed")
         deltas.append(n_i ** -0.5)
     return deltas
 
@@ -358,7 +357,7 @@ class LineageInstance(_SignMixture):
             raise ValidationError(
                 "lineage field 'depth_cap' must be at most the tree depth "
                 f"{tree.depth_cap}, not {depth_cap!r}")
-        self.seed = seed
+        self.seed = count(seed, "lineage field 'seed'", 0)
         self.lineage_rule = lineage
         self.r_star = _min_radii(tree, self.depth_cap)
         if biases is not None:
@@ -436,16 +435,14 @@ class LogTEnsembleInstance(PayoffInstance):
             seq = seq[:-1]
         if not seq:
             raise ValidationError("need at least one sequence point")
-        for p in list(seq) + [x_star]:
-            space.validate_point(p)
-        self.x_star = x_star
-        self.seq = list(seq)
-        self.radii = [space.distance(p, x_star) for p in self.seq]
+        self.x_star = space.point(x_star, "x_star")
+        self.seq = [space.point(p, "seq") for p in seq]
+        self.radii = [space.distance(p, self.x_star) for p in self.seq]
         if any(r <= 0 for r in self.radii):
             raise ValidationError("sequence points must be distinct from x*")
         for a, b in zip(self.radii, self.radii[1:]):
             if not b < a / 2.0:
-                raise InvalidScheduleError(
+                raise ValidationError(
                     "sequence must contract toward x* by more than a factor 2")
         if count(i, "logt field 'i'", 0) > len(self.seq):
             raise ValidationError("member index out of range")
@@ -497,8 +494,7 @@ class NoncompactInstance(_SignMixture):
         super().__init__(space)
         if not 0 < r <= 0.5:
             raise ValidationError("base radius must be in (0, 1/2]")
-        for p in centers:
-            space.validate_point(p)
+        centers = [space.point(p, "centers") for p in centers]
         for i, p in enumerate(centers):
             for q in centers[i + 1:]:
                 if space.distance(p, q) <= 2 * r:
@@ -507,7 +503,7 @@ class NoncompactInstance(_SignMixture):
         if sizes is None:
             if t_schedule is None or any(
                     b <= a for a, b in zip(t_schedule, t_schedule[1:])):
-                raise InvalidScheduleError("t_schedule must be strictly increasing")
+                raise ValidationError("t_schedule must be strictly increasing")
             sizes = [4 ** t for t in t_schedule]
         if sum(sizes) != len(centers):
             raise ValidationError("block sizes must sum to the center count")
@@ -515,7 +511,7 @@ class NoncompactInstance(_SignMixture):
         self.r = float(r)
         self.sizes = list(sizes)
         self.t_schedule = list(t_schedule) if t_schedule is not None else None
-        self.seed = seed
+        self.seed = count(seed, "noncompact field 'seed'", 0)
         self.block_of = []
         for k, size in enumerate(sizes, start=1):
             self.block_of.extend([k] * size)
@@ -562,7 +558,7 @@ class MaxMinLCDInstance(_SignMixture):
             raise ValidationError("recursive ball placement needs the interval")
         self.b = float(b)
         self.depth_cap = count(depth_cap, "maxminlcd field 'depth_cap'")
-        self.seed = seed
+        self.seed = count(seed, "maxminlcd field 'seed'", 0)
         if n_list is not None and (len(n_list) != self.depth_cap
                                    or any(n < 2 for n in n_list)):
             raise ValidationError("need n >= 2 children at each level")
@@ -631,12 +627,6 @@ def _encode_point(p):
     return p
 
 
-def _decode_point(p):
-    if isinstance(p, list):
-        return tuple(p)
-    return p
-
-
 _KINDS = {cls.kind: cls for cls in (
     PeakInstance, ConstantInstance, ArmsInstance, LineageInstance,
     LogTEnsembleInstance, NoncompactInstance, MaxMinLCDInstance)}
@@ -646,10 +636,11 @@ def instance_from_descriptor(d):
     """The instance a descriptor() describes: its constructor's signature is
     the schema, read with these renames.  `space` is a space descriptor
     (noncompact and maxminlcd take the unit interval without one).  The
-    points `peak`, `x_star`, `seq` and `centers` are tuples where JSON has
-    lists.  Lineage's `tree_depth` builds the ball tree `tree`.  On
-    noncompact, `guarantee_breaking` false drops `sizes`, which then follow
-    from `t_schedule`; maxminlcd accepts the flag and drops it."""
+    constructors read the points `peak`, `x_star`, `seq` and `centers`
+    with `space.point`, which takes a JSON list as a tree leaf.  Lineage's
+    `tree_depth` builds the ball tree `tree`.  On noncompact,
+    `guarantee_breaking` false drops `sizes`, which then follow from
+    `t_schedule`; maxminlcd accepts the flag and drops it."""
     kind = required(d, "kind", "instance")
     if not isinstance(kind, str) or kind not in _KINDS:
         raise ValidationError(f"unknown instance kind {kind!r}")
@@ -657,15 +648,10 @@ def instance_from_descriptor(d):
     fields = {k: v for k, v in d.items() if k != "kind"}
     if "space" in fields:
         fields["space"] = sp.space_from_descriptor(fields["space"])
-    for key in ("peak", "x_star"):
-        if key in fields:
-            fields[key] = _decode_point(fields[key])
     for key in ("seq", "centers"):
-        if key in fields:
-            if not isinstance(fields[key], list):
-                raise ValidationError(f"{where} field {key!r} must be a list "
-                                      f"of points, not {fields[key]!r}")
-            fields[key] = [_decode_point(p) for p in fields[key]]
+        if key in fields and not isinstance(fields[key], list):
+            raise ValidationError(f"{where} field {key!r} must be a list "
+                                  f"of points, not {fields[key]!r}")
     if kind == "lineage":
         if "tree" in fields:
             raise ValidationError(f"{where} has the unknown field 'tree'")

@@ -15,15 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    ResolutionError,
-    StructuralError,
-    UnsupportedCapabilityError,
-    ValidationError,
-    build,
-    count,
-    required,
-)
+from .errors import ValidationError, build, count, required
 
 _EPS = 1e-12
 _BUDGET = 2 ** 20  # the most points or balls any structure holds
@@ -165,11 +157,23 @@ class DepthStructure:
 
 class MetricSpace:
     kind = "abstract"
-    has_perfect_subspace = False
     depth_structure: DepthStructure | None = None
+    _where = "this {kind} space"  # what a point error says p is not in
 
     # -- points ----------------------------------------------------------
-    def validate_point(self, p):
+    def point(self, p, field):
+        """p as a point of the space, a JSON list read as a tree leaf; a
+        value that is not one is a ValidationError naming the field."""
+        p = tuple(p) if isinstance(p, list) else p
+        try:
+            if self._contains(p):
+                return p
+        except TypeError:
+            pass
+        raise ValidationError(f"field {field!r}: {p!r} is not a point of "
+                              + self._where.format(kind=self.kind))
+
+    def _contains(self, p):
         raise NotImplementedError
 
     def distance(self, p, q):
@@ -194,15 +198,14 @@ class MetricSpace:
 
     # -- optional capabilities ------------------------------------------
     def order_key(self, p):
-        raise UnsupportedCapabilityError(f"{self.kind} space is not well-ordered")
+        raise ValidationError(f"{self.kind} space is not well-ordered")
 
     def rank_classes(self):
-        raise UnsupportedCapabilityError(f"{self.kind} space has no CB structure")
+        raise ValidationError(f"{self.kind} space has no CB structure")
 
     def perfect_neighbor(self, center, radius):
-        raise UnsupportedCapabilityError(
-            f"{self.kind} space has no perfect-subspace sampler"
-        )
+        raise ValidationError(
+            f"{self.kind} space has no perfect-subspace sampler")
 
     # -- covering --------------------------------------------------------
     def covering(self, k):
@@ -230,11 +233,7 @@ def _attach_depth(space, depth_chain, dimension):
                   else DepthLevel.from_descriptor(d) for d in depth_chain]
         for level, name in itertools.product(levels, ("points", "bounds")):
             for p in getattr(level, name) or ():
-                try:
-                    space.validate_point(p)
-                except StructuralError as exc:
-                    raise ValidationError(
-                        f"depth level field {name!r}: {exc}") from None
+                space.point(p, name)
         space.depth_structure = DepthStructure(levels, dimension=dimension)
     return space
 
@@ -250,7 +249,7 @@ class IntervalSpace(MetricSpace):
     """The unit interval [0,1] with |x - y|, scanned on a dyadic grid."""
 
     kind = "interval"
-    has_perfect_subspace = True
+    _where = "[0,1]"
 
     def __init__(self, resolution=2.0 ** -20, scan_resolution=2.0 ** -10,
                  well_order=None, depth_chain=None, depth_dimension=1.0):
@@ -269,9 +268,8 @@ class IntervalSpace(MetricSpace):
         self._scan = None
         _attach_depth(self, depth_chain, depth_dimension)
 
-    def validate_point(self, p):
-        if not isinstance(p, (int, float)) or not 0.0 <= p <= 1.0:
-            raise StructuralError(f"{p!r} is not a point of [0,1]")
+    def _contains(self, p):
+        return isinstance(p, (int, float)) and 0.0 <= p <= 1.0
 
     def distance(self, p, q):
         return abs(p - q)
@@ -296,7 +294,7 @@ class IntervalSpace(MetricSpace):
     def perfect_neighbor(self, center, radius):
         step = radius / 8.0
         if step < self.resolution:
-            raise ResolutionError("radius below interval resolution")
+            raise ValidationError("radius below interval resolution")
         return center + step if center + step <= 1.0 else center - step
 
     def covering(self, k):
@@ -372,9 +370,8 @@ class _PointSetSpace(MetricSpace):
     """A finite set of points on the line, listed in `_points` (which fixes
     the scan order) and held as the set `_pointset`."""
 
-    def validate_point(self, p):
-        if p not in self._pointset:
-            raise StructuralError(f"{p!r} is not a point of this {self.kind} space")
+    def _contains(self, p):
+        return p in self._pointset
 
     def distance(self, p, q):
         return abs(p - q)
@@ -528,7 +525,7 @@ def uniform_tree_branching(eps, b, depth, cap=_BRANCH_CAP_DEFAULT):
     for i in range(1, depth + 1):
         exponent = eps ** (-i * b) * (2.0 ** b - 1.0)
         if exponent > 700:
-            raise ResolutionError("branching factor overflows at this depth")
+            raise ValidationError("branching factor overflows at this depth")
         f = math.ceil(math.exp(exponent))
         if f > cap:
             f = cap
@@ -544,7 +541,6 @@ class TreeSpace(MetricSpace):
     schedule exp(eps^{-i b}(2^b - 1)) with log-covering dimension b."""
 
     kind = "tree"
-    has_perfect_subspace = True
 
     def __init__(self, eps=0.5, depth=8, branching=None, b=None,
                  branch_cap=_BRANCH_CAP_DEFAULT):
@@ -566,12 +562,9 @@ class TreeSpace(MetricSpace):
         if len(self.branching) != self.depth:
             raise ValidationError("branching schedule must list >=2 per level")
 
-    def validate_point(self, p):
-        if len(p) != self.depth:
-            raise StructuralError("leaf path has wrong length")
-        for sym, width in zip(p, self.branching):
-            if not 0 <= sym < width:
-                raise StructuralError("leaf path symbol out of range")
+    def _contains(self, p):
+        return len(p) == self.depth and all(
+            0 <= sym < width for sym, width in zip(p, self.branching))
 
     def distance(self, p, q):
         for i, (a, b_) in enumerate(zip(p, q)):
@@ -610,7 +603,8 @@ class TreeSpace(MetricSpace):
         while self.eps ** level >= radius / 4.0:
             level += 1
             if level > self.depth - 1:
-                raise ResolutionError("tree truncation too shallow for this radius")
+                raise ValidationError(
+                    "tree truncation too shallow for this radius")
         sym = (center[level] + 1) % self.branching[level]
         return tuple(center[:level]) + (sym,) + (0,) * (self.depth - level - 1)
 
@@ -631,7 +625,7 @@ class TreeSpace(MetricSpace):
         for j in range(1, self.depth + 1):
             if self.eps ** j <= delta + _EPS:
                 return self.node_count(j)
-        raise ResolutionError("delta below tree truncation resolution")
+        raise ValidationError("delta below tree truncation resolution")
 
     def descriptor(self):
         d = {"kind": "tree", "eps": self.eps, "depth": self.depth}
@@ -686,7 +680,7 @@ def _scan_array(space, level=None):
         points = sorted(src, key=space.canonical_key)
         coords = np.array(points, dtype=float)
         if coords.ndim != 1:
-            raise UnsupportedCapabilityError(
+            raise ValidationError(
                 f"scan oracles need points on the line, not {space.kind} points")
         return points, coords
 
@@ -712,7 +706,6 @@ def _ball_union(coords, balls, open_balls=False):
 def ordering_oracle(space, balls):
     if not balls:
         raise ValidationError("ordering oracle needs at least one ball")
-    space.order_key(space.canonical_least())  # capability probe
     points, coords = _scan_array(space)
     covered = [points[i] for i in np.flatnonzero(_ball_union(coords, balls))]
     if not covered:
@@ -729,7 +722,7 @@ def rank_covering_oracle(space, rank, k):
 
 def _require_depth(space):
     if space.depth_structure is None:
-        raise UnsupportedCapabilityError(f"{space.kind} space has no depth structure")
+        raise ValidationError(f"{space.kind} space has no depth structure")
     return space.depth_structure
 
 
@@ -743,7 +736,8 @@ def depth_oracle(space, balls):
         if len(hits):
             # the scan is sorted by canonical_key: the first hit is the least
             return points[hits[0]]
-    raise ResolutionError("no scan point of any chain set lies in the ball union")
+    raise ValidationError(
+        "no scan point of any chain set lies in the ball union")
 
 
 @dataclass(frozen=True)
@@ -836,16 +830,16 @@ _CHILD_SHRINK = 0.49  # slightly under d/2 so the sibling inequality is strict
 def build_ball_tree(space, depth_cap):
     """Root (y, 1); each node (y, r) gets children (y, r') and (y', r') where
     y' is a designated point of B(y, r/4) and r' = 0.49 d(y, y')."""
-    # 2^(depth_cap + 1) - 1 nodes, bounded through the depth: 2^depth_cap
-    # of a huge depth would not fit in memory
-    if depth_cap >= _BUDGET.bit_length() - 1:
+    root_center = space.canonical_least() if space.kind == "tree" else 0.5
+    # 2^(depth_cap + 1) - 1 nodes of a point's coordinates each; the depth
+    # is cut first, as 2^depth_cap of a huge depth would not fit in memory
+    coords = np.size(root_center)
+    nodes = 2 ** (min(depth_cap, _BUDGET.bit_length()) + 1) - 1
+    if nodes * coords > _BUDGET:
         raise ValidationError(
             f"a ball tree of 'tree_depth' {depth_cap} asks for "
-            f"2^{depth_cap + 1} - 1 nodes, over the budget of {_BUDGET}")
-    if not space.has_perfect_subspace:
-        raise UnsupportedCapabilityError(
-            f"{space.kind} space has no perfect-subspace sampler")
-    root_center = space.canonical_least() if space.kind == "tree" else 0.5
+            f"2^{depth_cap + 1} - 1 nodes of {coords} coordinates, over the "
+            f"budget of {_BUDGET}")
     root = BallNode(root_center, 1.0, path="")
     # a stack, not a recursive closure: that cycle would keep the space
     stack = [(root, 0)]
@@ -856,7 +850,8 @@ def build_ball_tree(space, depth_cap):
         sibling = space.perfect_neighbor(node.center, node.radius)
         d = space.distance(node.center, sibling)
         if d <= 0:
-            raise ResolutionError("perfect-subspace sampler returned the center")
+            raise ValidationError(
+                "perfect-subspace sampler returned the center")
         r_child = _CHILD_SHRINK * d
         node.children = [
             BallNode(node.center, r_child, path=node.path + "0"),

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import instances as inst_mod
-from .errors import StructuralError, ValidationError
+from .errors import ValidationError
 
 _SUM_TOL = 1e-12
 _CHAIN_ATOM_CAP = 4096
@@ -39,7 +39,7 @@ def kl_divergence(p, q):
     """KL(p;q) = sum p(x) ln(p(x)/q(x)); terms with p(x)=0 contribute 0,
     and the result is +inf when p charges a q-null atom."""
     if p.atoms != q.atoms:
-        raise StructuralError("measures live on different atom sets")
+        raise ValidationError("measures live on different atom sets")
     return _kl_arrays(p.probs, q.probs)
 
 
@@ -70,7 +70,7 @@ def kl_chain_check(p, q):
     p = np.asarray(p, dtype=float)
     q = np.asarray(q, dtype=float)
     if p.shape != q.shape:
-        raise StructuralError("joint arrays must have identical shape")
+        raise ValidationError("joint arrays must have identical shape")
     if p.size > _CHAIN_ATOM_CAP:
         raise ValidationError("joint atom count exceeds the enumeration cap")
     if abs(p.sum() - 1) > _SUM_TOL or abs(q.sum() - 1) > _SUM_TOL:
@@ -218,7 +218,7 @@ class EnsembleSpec:
         seen = set()
         for s in self.subsets:
             if seen & set(s):
-                raise StructuralError("strategy subsets must be disjoint")
+                raise ValidationError("strategy subsets must be disjoint")
             seen |= set(s)
         if not (0 < self.delta < 0.5) or not 0 < self.eps < 0.5:
             raise ValidationError("eps and delta must lie in (0, 1/2)")

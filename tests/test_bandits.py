@@ -19,10 +19,13 @@ def _convergent_peak(noise="none"):
 # exploration sweeps
 
 
-def _sweep(run, pull):
-    """Drive run.run() to its result: each point's action is sent the sum of
-    pull(x) over its rounds.  Returns the result and the rounds pulled."""
-    sweep = run.run(lambda x: bd.Action(x, rounds=run.n))
+def _sweep(run, pull, rounds=None):
+    """Drive run.run() to its result, the sweep cut at `rounds` (None: the
+    whole sweep): each point's action is sent the sum of pull(x) over its
+    rounds.  Returns the result and the rounds pulled."""
+    if rounds is None:
+        rounds = len(run.points) * run.n
+    sweep = run.run(lambda x, m: bd.Action(x, rounds=m), rounds)
     action = next(sweep)
     pulls = 0
     try:
@@ -42,6 +45,13 @@ def test_expl_budget_accounting():
     assert len(run.points) * run.n == 11 * 5
     _result, pulls = _sweep(run, instance.mean)
     assert pulls == 55
+
+
+def test_expl_sweep_cut_takes_no_result():
+    space, instance = _convergent_peak()
+    # 23 rounds reach five points of 5 rounds, the fifth cut to 3
+    result, pulls = _sweep(bd.ExplRun(space, 11, 5, 0.04), instance.mean, 23)
+    assert result is None and pulls == 23
 
 
 def test_expl_zero_noise_finds_optimum():

@@ -444,13 +444,17 @@ def test_simulate_experts_b_must_be_a_finite_number(tmp_path, capsys, name,
 
 _PEAK = {"kind": "peak", "space": _INTERVAL, "peak": 0.5, "slope": 1.0,
          "c": 0.9}
+# spaces for the sweep sessions: a well-order, and (convergent) rank classes
+_WELL_ORDERED = {"kind": "interval", "well_order": "coordinate"}
+_CONVERGENT = {"kind": "convergent", "n_max": 100}
 
 
 @pytest.mark.parametrize("inner", [{"name": "naive_experts", "b": 1.0},
                                    {"name": "double_feedback_expert"}])
 def test_simulate_adapter_inner_must_run_in_bandit_mode(tmp_path, capsys,
                                                         inner):
-    config = {"space": _INTERVAL, "instance": _PEAK,
+    config = {"space": _WELL_ORDERED,
+              "instance": dict(_PEAK, space=_WELL_ORDERED),
               "algorithm": {"name": "completion_adapter", "inner": inner},
               "horizon": 8, "seed": 0}
     assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
@@ -470,7 +474,8 @@ def test_simulate_exponent_preset_argument_must_be_finite(tmp_path, capsys,
 @pytest.mark.parametrize("name", ["well_ordered_bandit", "cb_bandit"])
 def test_simulate_exponent_preset_overflow_exits_1(tmp_path, capsys, name):
     # log(4) ** 1e300 overflows in the first phase
-    config = {"space": _INTERVAL, "instance": _PEAK,
+    config = {"space": _CONVERGENT,
+              "instance": dict(_PEAK, space=_CONVERGENT),
               "algorithm": {"name": name, "f": "log_power:1e300"},
               "horizon": 64, "seed": 0}
     assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
@@ -550,7 +555,8 @@ def test_simulate_space_counts_must_be_ints_within_budget(tmp_path, capsys,
 def test_simulate_exponent_preset_over_the_size_budget_exits_1(tmp_path,
                                                                capsys):
     # phase 2 asks for a covering of k = 118,069,115,374 interval points
-    config = {"space": _INTERVAL, "instance": _PEAK,
+    config = {"space": _WELL_ORDERED,
+              "instance": dict(_PEAK, space=_WELL_ORDERED),
               "algorithm": {"name": "well_ordered_bandit",
                             "f": "log_power:50"},
               "horizon": 64, "seed": 0}
@@ -657,6 +663,21 @@ def _depth_peak(level):
     ({"kind": "logt", "space": _INTERVAL,
       "seq": [0.5 + 3.0 ** -k for k in range(1, 6)], "i": 1.5,
       "x_star": 0.5}, "'i'"),
+    # 2^13 - 1 nodes of 200 coordinates each: the node count alone passed
+    (dict(_LINEAGE, space={"kind": "tree", "depth": 200}, tree_depth=12),
+     "'tree_depth'"),
+    # each exited 2, as if the run had failed
+    (dict(_PEAK, peak=2.0), "field 'peak': 2.0 is not a point of [0,1]"),
+    ({"kind": "noncompact", "space": _INTERVAL, "centers": [0.1, 0.5],
+      "r": 0.05, "t_schedule": [2, 1]}, "strictly increasing"),
+    # the children of the depth-5 balls are finer than the resolution
+    (dict(_LINEAGE, tree_depth=6), "resolution"),
+    ({"kind": "logt", "space": _INTERVAL, "seq": [0.9, 0.75], "i": 1,
+      "x_star": 0.5}, "contract"),
+    # instance seeds are counts; numpy's text named no field
+    *((dict(instance, seed=seed), "field 'seed'") for seed in (-1, "x")
+      for instance in (_LINEAGE, _NONCOMPACT,
+                       {"kind": "maxminlcd", "space": _INTERVAL})),
 ])
 def test_simulate_instance_field_of_wrong_form_exits_1(tmp_path, capsys,
                                                        instance, field):

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import banditlab.instances as inst
 import banditlab.spaces as sps
-from banditlab.errors import StructuralError
+from banditlab.errors import ValidationError
 
 _SETTINGS = settings(max_examples=25, deadline=None, derandomize=True,
                      database=None)
@@ -114,16 +114,16 @@ def test_point_set_validate_point(kind):
     @given(_SPACES[kind], st.floats(-20, 20, allow_nan=False))
     def check(space, x):
         for p in space.scan_points():
-            space.validate_point(p)
+            assert space.point(p, "p") == p
         if x not in space.scan_points():
-            with pytest.raises(StructuralError):
-                space.validate_point(x)
+            with pytest.raises(ValidationError, match="not a point"):
+                space.point(x, "x")
         # just off a member is not a member either, unless it is another
         p = space.scan_points()[-1]
         off = p + max(abs(p), 1.0) * 1e-9
         if off not in space.scan_points():
-            with pytest.raises(StructuralError):
-                space.validate_point(off)
+            with pytest.raises(ValidationError, match="not a point"):
+                space.point(off, "off")
 
     check()
 

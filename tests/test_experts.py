@@ -6,7 +6,7 @@ import pytest
 import banditlab.experts as ex
 import banditlab.instances as inst
 import banditlab.spaces as sps
-from banditlab.errors import UnsupportedCapabilityError, ValidationError
+from banditlab.errors import ValidationError
 from blocks import drive
 
 
@@ -84,12 +84,9 @@ def test_double_feedback_bets_ignore_current_peeks():
 
 
 def test_double_feedback_needs_well_order():
-    space = sps.IntervalSpace()
-    session = ex.DoubleFeedbackExpert(space)
-    instance = inst.ConstantInstance(space, 0.5, noise="none")
-    # the ordering oracle is consulted when the first sweep completes
-    with pytest.raises(UnsupportedCapabilityError):
-        _drive(session, instance, 10)
+    # refused when the session is built, before its first sweep
+    with pytest.raises(ValidationError, match="not well-ordered"):
+        ex.DoubleFeedbackExpert(sps.IntervalSpace())
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import concurrent.futures
+import dataclasses
 import gc
 import math
 import pickle
@@ -353,6 +354,39 @@ def test_finished_match_frees_session_and_space(monkeypatch, space,
     assert alive == [False, False, False]
 
 
+_NO_STRUCTURE = {
+    "interval": {"kind": "interval"},
+    "tree": {"kind": "tree", "eps": 0.5, "depth": 4},
+    "nested_convergent": {"kind": "nested_convergent", "m_max": 3,
+                          "n_max": 3},
+    "convergent_union": {"kind": "convergent_union",
+                         "branches": [[0.0, 1, 4], [3.0, -1, 4]]},
+}
+
+
+@pytest.mark.parametrize("name, kind", [
+    *((name, kind) for name in ("well_ordered_bandit",
+                                "double_feedback_expert")
+      for kind in _NO_STRUCTURE),
+    ("cb_bandit", "interval"), ("cb_bandit", "tree")])
+def test_capability_mismatch_refused_when_built(name, kind):
+    """A sweep session on a space without the order (or, for cb_bandit,
+    the rank classes) its sweep reads is refused when it is built, so a
+    match plays no action, even at horizon 1."""
+    space = _NO_STRUCTURE[kind]
+    message = "no CB structure" if name == "cb_bandit" else "not well-ordered"
+    with pytest.raises(ValidationError, match=message):
+        hn.build_algorithm({"name": name}, sps.space_from_descriptor(space),
+                           np.random.default_rng(0))
+    config = hn.ExperimentConfig(
+        space=space, instance={"kind": "constant", "space": space, "c": 0.5},
+        algorithm={"name": name}, horizon=1)
+    with mock.patch.object(bd, "play", wraps=bd.play) as play:
+        with pytest.raises(ValidationError, match=message):
+            hn.run_match(config)
+    assert play.call_count == 0
+
+
 # ---------------------------------------------------------------------------
 # the noise stream
 
@@ -477,7 +511,7 @@ def test_aggregate_rejects_mixed_horizons():
 @pytest.mark.parametrize("field", ["space", "instance", "algorithm",
                                    "horizon"])
 def test_config_missing_field_names_it(field):
-    d = _arms_config().to_dict()
+    d = dataclasses.asdict(_arms_config())
     del d[field]
     with pytest.raises(ValidationError, match=repr(field)):
         hn.ExperimentConfig.from_dict(d)
@@ -552,7 +586,7 @@ def test_json_round_trip_bit_exact(tmp_path):
 
 def test_config_round_trip():
     config = _arms_config(horizon=16, mode="bandit")
-    clone = hn.ExperimentConfig.from_dict(config.to_dict())
-    assert clone.to_dict() == config.to_dict()
+    clone = hn.ExperimentConfig.from_dict(dataclasses.asdict(config))
+    assert dataclasses.asdict(clone) == dataclasses.asdict(config)
     with pytest.raises(ValidationError):
         hn.ExperimentConfig(None, {}, {}, 0)

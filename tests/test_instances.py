@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 import banditlab.instances as inst
 import banditlab.spaces as sps
-from banditlab.errors import InvalidScheduleError, ValidationError
+from banditlab.errors import ValidationError
 
 
 def _interval():
@@ -92,7 +92,7 @@ def test_lineage_high_gamma_builds(gamma, depth):
 
 
 def test_lineage_threshold_past_float_range_rejected():
-    with pytest.raises(InvalidScheduleError, match="float range"):
+    with pytest.raises(ValidationError, match="float range"):
         _lineage(2, gamma=0.49)
 
 
@@ -187,7 +187,7 @@ def test_logt_baseline_and_bumps():
 
 
 def test_logt_contraction_enforced():
-    with pytest.raises(InvalidScheduleError):
+    with pytest.raises(ValidationError, match="contract"):
         inst.LogTEnsembleInstance(_interval(), [0.9, 0.75], 1, x_star=0.5)
     with pytest.raises(ValidationError):
         inst.LogTEnsembleInstance(_interval(), [0.5], 0, x_star=0.5)
@@ -242,7 +242,7 @@ def test_wedge_theoretical_sizes():
 
 
 def test_wedge_schedule_validation():
-    with pytest.raises(InvalidScheduleError):
+    with pytest.raises(ValidationError, match="strictly increasing"):
         inst.NoncompactInstance([0.1, 0.5], 0.05, t_schedule=[2, 1], seed=0)
 
 

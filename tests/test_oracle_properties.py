@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import banditlab.spaces as sps
-from banditlab.errors import ResolutionError
+from banditlab.errors import ValidationError
 
 _EPS = sps._EPS
 _SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
@@ -52,7 +52,8 @@ def ref_depth(space, balls):
         hits = [p for p in level.scan(space) if _in_closure(space, p, balls)]
         if hits:
             return min(hits, key=space.canonical_key)
-    raise ResolutionError("no scan point of any chain set lies in the ball union")
+    raise ValidationError(
+        "no scan point of any chain set lies in the ball union")
 
 
 def ref_cover(space, anchor, balls):
@@ -72,8 +73,8 @@ def _same(a, b):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except ResolutionError:
-        return "ResolutionError"
+    except ValidationError as exc:
+        return str(exc)
 
 
 # ---------------------------------------------------------------------------

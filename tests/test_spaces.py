@@ -1,14 +1,10 @@
 import math
+from unittest import mock
 
 import pytest
 
 import banditlab.spaces as sps
-from banditlab.errors import (
-    ResolutionError,
-    StructuralError,
-    UnsupportedCapabilityError,
-    ValidationError,
-)
+from banditlab.errors import ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +81,7 @@ def test_ordering_oracle_empty_intersection_falls_back():
 
 
 def test_ordering_oracle_needs_well_order():
-    with pytest.raises(UnsupportedCapabilityError):
+    with pytest.raises(ValidationError, match="not well-ordered"):
         sps.ordering_oracle(sps.IntervalSpace(), [sps.Ball(0.5, 0.1)])
 
 
@@ -142,7 +138,7 @@ def test_depth_oracle_picks_deepest_level():
 
 
 def test_depth_oracle_requires_structure():
-    with pytest.raises(UnsupportedCapabilityError):
+    with pytest.raises(ValidationError, match="no depth structure"):
         sps.depth_oracle(sps.IntervalSpace(), [sps.Ball(0.5, 0.1)])
 
 
@@ -212,7 +208,7 @@ def test_uniform_tree_branching_schedule():
     assert not capped
     factors2, capped2 = sps.uniform_tree_branching(0.5, 1.0, 6, cap=10 ** 6)
     assert capped2 and factors2[-1] == 10 ** 6
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ValidationError, match="overflows"):
         sps.uniform_tree_branching(0.5, 2.0, 8)
 
 
@@ -237,13 +233,27 @@ def test_ball_tree_tree_space_depth8():
 
 
 def test_ball_tree_requires_perfect_space():
-    with pytest.raises(UnsupportedCapabilityError):
+    with pytest.raises(ValidationError, match="perfect-subspace sampler"):
         sps.build_ball_tree(sps.FiniteSpace([0.0, 1.0]), 2)
 
 
 def test_ball_tree_resolution_limit():
-    with pytest.raises(ResolutionError):
+    with pytest.raises(ValidationError, match="resolution"):
         sps.build_ball_tree(sps.IntervalSpace(resolution=2.0 ** -10), 8)
+
+
+def test_ball_tree_budget_counts_coordinates():
+    """2^(d + 1) - 1 nodes of 200 coordinates each pass the budget of
+    2^20 at d = 11, not at 12, and are refused before any node is built;
+    on the line, where a point is one number, d = 20 is the first refused."""
+    tree = sps.TreeSpace(eps=0.5, depth=200)
+    with mock.patch.object(sps.TreeSpace, "perfect_neighbor") as neighbor:
+        with pytest.raises(ValidationError, match="'tree_depth' 12"):
+            sps.build_ball_tree(tree, 12)
+        with pytest.raises(ValidationError, match="'tree_depth' 20"):
+            sps.build_ball_tree(sps.IntervalSpace(), 20)
+    assert neighbor.call_count == 0
+    assert sps.build_ball_tree(tree, 11).node_count() == 2 ** 12 - 1
 
 
 # ---------------------------------------------------------------------------
@@ -251,12 +261,15 @@ def test_ball_tree_resolution_limit():
 
 
 def test_point_validation():
-    with pytest.raises(StructuralError):
-        sps.IntervalSpace().validate_point(1.5)
-    with pytest.raises(StructuralError):
-        sps.ConvergentSpace(10).validate_point(0.3)
-    with pytest.raises(StructuralError):
-        sps.TreeSpace(depth=3).validate_point((0, 1))
+    with pytest.raises(ValidationError,
+                       match=r"field 'x': 1.5 is not a point of \[0,1\]"):
+        sps.IntervalSpace().point(1.5, "x")
+    with pytest.raises(ValidationError, match="not a point of this conv"):
+        sps.ConvergentSpace(10).point(0.3, "x")
+    with pytest.raises(ValidationError, match="not a point of this tree"):
+        sps.TreeSpace(depth=3).point((0, 1), "x")
+    # a JSON list is a tree leaf
+    assert sps.TreeSpace(depth=3).point([0, 1, 1], "x") == (0, 1, 1)
 
 
 def test_space_descriptor_round_trip():

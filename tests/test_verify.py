@@ -6,7 +6,7 @@ import pytest
 import banditlab.instances as inst
 import banditlab.spaces as sps
 import banditlab.verify as vf
-from banditlab.errors import StructuralError, ValidationError
+from banditlab.errors import ValidationError
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +38,7 @@ def test_kl_infinite_on_null_support():
 def test_kl_mismatched_atoms():
     p = vf.FiniteMeasure([0, 1], [0.5, 0.5])
     q = vf.FiniteMeasure([0, 2], [0.5, 0.5])
-    with pytest.raises(StructuralError):
+    with pytest.raises(ValidationError, match="different atom sets"):
         vf.kl_divergence(p, q)
 
 
@@ -162,7 +162,7 @@ def test_sibling_ensemble_ratio_margin():
 def test_ensemble_disjointness_enforced():
     measures = [vf.FiniteMeasure([0, 1], [0.5, 0.5]) for _ in range(3)]
     payoffs = np.zeros((2, 2))
-    with pytest.raises(StructuralError):
+    with pytest.raises(ValidationError, match="disjoint"):
         vf.EnsembleSpec(measures, [0.0, 1.0], payoffs,
                         subsets=[[0], [0]], eps=0.1, delta=0.1)
 
