@@ -163,8 +163,6 @@ class ExplPrimeRun(ExplRun):
         avg = self.averages()
         best = max(avg.values())
         undominated = [x for x in self.points if best - avg[x] <= 2.0 * self.r]
-        if not undominated:
-            return min(self.points, key=self.space.canonical_key)
         top_rank = max(self.rank_of[x] for x in undominated)
         winners = [x for x in undominated if self.rank_of[x] == top_rank]
         return min(winners, key=self.space.canonical_key)
@@ -310,13 +308,14 @@ def _ucb1(arms, pulls, t, rounds):
     When the arm j of the last round wins again after p rounds, the next n
     rounds are one block if j provably wins each of them whatever its
     rewards: j's lowest index over them, with no reward added, must beat
-    every other arm's highest, its bonus at p + n - 1.  Rewards in [0, 1]
-    never lower a float sum, and `/`, `sqrt` and `math.log` of an int are
-    monotone, so the proof holds bit for bit.  `pulls.block` plays the
-    block and adds its rewards onto sums[j] as the rounds one by one would
-    add them.  n starts at twice the last block and halves until the proof
-    holds; after failed proofs the next 1, 3, 7, ... (at most 63) repeat
-    wins try none.  Returns None."""
+    the rival bound, the highest other index with its bonus at p + n - 1,
+    computed once per try.  Rewards in [0, 1] never lower a float sum, and
+    `/`, `sqrt` and `math.log` of an int are monotone, so the proof holds
+    bit for bit, and j's lowest index only rises as n falls.  `pulls.block`
+    plays the block and adds its rewards onto sums[j] as the rounds one by
+    one would add them.  n starts at twice the last block and halves until
+    the proof holds; after failed proofs the next 1, 3, 7, ... (at most 63)
+    repeat wins try none.  Returns None."""
     m = len(arms)
     pull, mus = zip(*map(pulls.arm, arms))
     if _round_robin(pull, rounds):
@@ -347,14 +346,16 @@ def _ucb1(arms, pulls, t, rounds):
                 else:
                     n = min(k, rounds - played)
                     c_end = 2.0 * log(played + n - 1)
-                    low = sums[j] / (counts[j] + (n - 1))
-                    low += sqrt(c / (counts[j] + (n - 1)))
+                    rival = no_index
                     for i in ids:
-                        while i != j and n >= _MIN_BLOCK and not (
-                                low > averages[i] + sqrt(c_end / counts[i])):
-                            n //= 2
-                            low = sums[j] / (counts[j] + (n - 1))
-                            low += sqrt(c / (counts[j] + (n - 1)))
+                        if i != j:
+                            bound = averages[i] + sqrt(c_end / counts[i])
+                            if bound > rival:
+                                rival = bound
+                    while n >= _MIN_BLOCK and not (
+                            sums[j] / (counts[j] + (n - 1))
+                            + sqrt(c / (counts[j] + (n - 1))) > rival):
+                        n //= 2
                     if n >= _MIN_BLOCK:
                         k, wait = 2 * n, 0
                         sums[j] = pulls.block(arms[j], s, n, sums[j])
@@ -406,8 +407,8 @@ def _tstar(n_balls, eps):
 
 class PhasedUCB1Session(Session):
     """Per-phase covering at radius 2^-k with a fresh UCB1 over the net
-    centers, one action per phase; phase lengths follow t_k = max(t*_k,
-    t*_{k+1}, 2 sum of earlier lengths) with t*_k = 2 N_k/eps_k^2
+    centers, one action per phase; phase k plays t_k = max(t*_k,
+    t*_{k+1}, twice the rounds before it) with t*_k = 2 N_k/eps_k^2
     log(N_k/eps_k^2), so every phase is long enough for its own net and
     the next one."""
 
@@ -418,7 +419,6 @@ class PhasedUCB1Session(Session):
         self.space = space
 
     def _run(self):
-        lengths = []
         rounds = 0
         k = 1
         saturated = False
@@ -432,14 +432,13 @@ class PhasedUCB1Session(Session):
                 next_net = net
             tstar_k = _tstar(len(net), eps)
             tstar_next = _tstar(len(next_net), eps / 2.0)
-            t_k = math.ceil(max(tstar_k, tstar_next, 2.0 * sum(lengths)))
+            t_k = math.ceil(max(tstar_k, tstar_next, 2.0 * rounds))
             phase = {"phase": k, "eps": eps, "net_size": len(net),
                      "length": t_k, "start": rounds, "tstar": tstar_k,
                      "saturated": saturated}
             self.info["phases"].append(phase)
             yield Action(None, rounds=t_k, play=functools.partial(_ucb1, net))
             rounds += t_k
-            lengths.append(t_k)
             phase["s_k"] = rounds
             k += 1
 

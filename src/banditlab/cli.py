@@ -188,10 +188,7 @@ def _cmd_fit(args):
     if len(window) != 2:
         raise ValidationError(
             f"--window needs two numbers lo,hi, not {args.window!r}")
-    traces = harness.import_json(args.input)
-    if not traces:
-        raise ValidationError("no traces in input")
-    agg = harness.aggregate_traces(traces)
+    agg = harness.aggregate_traces(harness.import_json(args.input))
     fit = harness.fit_exponent(agg, window)
     print(f"slope={fit.slope:.4f} intercept={fit.intercept:.4f} "
           f"residual={fit.residual:.4f} degenerate={fit.degenerate}")

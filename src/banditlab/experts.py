@@ -143,19 +143,16 @@ class MaxMinLCDExperts(_FullFeedback):
         floor = getattr(self.space, "scan_resolution", 0.0)
         chosen = None
         for j in itertools.count():
-            if 0 < 2.0 ** -j < floor:
+            if 2.0 ** -j < floor:
                 # representation resolution reached before the size limit
-                j, points, achieved, _ = chosen
-                return j, points, achieved, True
+                return (*chosen[:3], True)
             points, achieved, saturated = sp.net_for_radius(
                 self.space, 2.0 ** -j)
             if len(points) > limit:
-                if chosen is None:
-                    return 0, points, achieved, True
-                return chosen
-            chosen = (j, points, achieved, False)
+                return chosen or (j, points, achieved, True)
+            chosen = (j, points, achieved, saturated)
             if saturated:
-                return j, points, achieved, True
+                return chosen
 
     def _run(self):
         bet = self.space.canonical_least()

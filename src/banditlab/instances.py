@@ -31,17 +31,6 @@ from . import spaces as sp
 from .errors import ValidationError, build, count, required
 
 
-def needle_eval(node, x, space):
-    """Wedge with a plateau: min(r - d(x, center), r/2) inside B(center, r),
-    zero outside.  1-Lipschitz with peak value r/2."""
-    center = node.center
-    radius = node.radius
-    d = space.distance(x, center)
-    if d >= radius:
-        return 0.0
-    return min(radius - d, radius / 2.0)
-
-
 # ---------------------------------------------------------------------------
 # base class
 
@@ -339,7 +328,8 @@ def _lineage_deltas(r_star, gamma):
 
 
 class LineageInstance(_SignMixture):
-    """Sum of signed needles (`needle_eval`) over a ball tree.  A lineage
+    """Sum of signed needles over a ball tree, each a wedge with a plateau,
+    min(r - d(x, center), r/2) inside its ball B(center, r).  A lineage
     designates one child of every node; signs of lineage nodes at depth i
     are +1 with probability (1 + delta_i)/2, all other signs are fair
     coins."""
@@ -577,8 +567,6 @@ class MaxMinLCDInstance(_SignMixture):
         for n in self.n_list:
             r_prev = r_prev / (4.0 * n)
             self.radii.append(r_prev)
-        if sum(self.radii) >= 1.0 / 3.0:
-            raise ValidationError("radius sum must stay below 1/3")
         self.roots = self._grow(0.5, 0.25, 0, rng)
 
     def _grow(self, center, r_prev, level, rng):

@@ -163,10 +163,11 @@ class MetricSpace:
     # -- points ----------------------------------------------------------
     def point(self, p, field):
         """p as a point of the space, a JSON list read as a tree leaf; a
-        value that is not one is a ValidationError naming the field."""
+        value that is not one, a bool among them, is a ValidationError
+        naming the field."""
         p = tuple(p) if isinstance(p, list) else p
         try:
-            if self._contains(p):
+            if not isinstance(p, bool) and self._contains(p):
                 return p
         except TypeError:
             pass
@@ -265,7 +266,6 @@ class IntervalSpace(MetricSpace):
         self.well_order = well_order
         if well_order not in (None, "coordinate"):
             raise ValidationError("interval well_order must be 'coordinate'")
-        self._scan = None
         _attach_depth(self, depth_chain, depth_dimension)
 
     def _contains(self, p):
@@ -278,10 +278,8 @@ class IntervalSpace(MetricSpace):
         return np.abs(points - center)
 
     def scan_points(self):
-        if self._scan is None:
-            n = int(round(1.0 / self.scan_resolution))
-            self._scan = [i / n for i in range(n + 1)]
-        return self._scan
+        n = int(round(1.0 / self.scan_resolution))
+        return self._cached("scan", lambda: [i / n for i in range(n + 1)])
 
     def canonical_least(self):
         return 0.0
@@ -294,7 +292,10 @@ class IntervalSpace(MetricSpace):
     def perfect_neighbor(self, center, radius):
         step = radius / 8.0
         if step < self.resolution:
-            raise ValidationError("radius below interval resolution")
+            raise ValidationError(
+                f"the ball-tree children of a ball of radius {radius!r} lie "
+                f"closer than the interval field 'resolution' "
+                f"{self.resolution!r}: lower 'tree_depth'")
         return center + step if center + step <= 1.0 else center - step
 
     def covering(self, k):
@@ -368,10 +369,10 @@ def _line_cover_count(values, delta):
 
 class _PointSetSpace(MetricSpace):
     """A finite set of points on the line, listed in `_points` (which fixes
-    the scan order) and held as the set `_pointset`."""
+    the scan order)."""
 
     def _contains(self, p):
-        return p in self._pointset
+        return p in self._cached("points", lambda: set(self._points))
 
     def distance(self, p, q):
         return abs(p - q)
@@ -402,7 +403,6 @@ class FiniteSpace(_PointSetSpace):
         self.coords = self._points = [float(c) for c in coords]
         if not all(map(math.isfinite, self.coords)):
             raise ValidationError("finite space points must be finite")
-        self._pointset = set(self._points)
         self._order = {c: i for i, c in enumerate(self.coords)}
         _attach_depth(self, depth_chain, depth_dimension)
 
@@ -429,7 +429,6 @@ class ConvergentSpace(_PointSetSpace):
         self.n_max = count(n_max, "convergent field 'n_max'")
         _within_budget(self.n_max + 1, "convergent field 'n_max'")
         self._points = [1.0 / n for n in range(1, self.n_max + 1)] + [0.0]
-        self._pointset = set(self._points)
 
     def order_key(self, p):
         if p == 0.0:
@@ -474,7 +473,6 @@ class ConvergentUnionSpace(_PointSetSpace):
         self._points = sorted(set(iso) | set(self.limits))
         if len(self._points) != len(iso) + len(set(self.limits)):
             raise ValidationError("branch points collide")
-        self._pointset = set(self._points)
         self._iso = sorted(set(iso))
 
     def rank_classes(self):
@@ -503,7 +501,6 @@ class NestedConvergentSpace(_PointSetSpace):
             for n in range(1, self.n_max + 1)
         ]
         self._points = sorted(set(self._iso) | set(self._mid) | {0.0})
-        self._pointset = set(self._points)
 
     def rank_classes(self):
         return [sorted(self._iso), sorted(self._mid), [0.0]]
@@ -560,11 +557,14 @@ class TreeSpace(MetricSpace):
         else:
             self.branching = [2] * self.depth
         if len(self.branching) != self.depth:
-            raise ValidationError("branching schedule must list >=2 per level")
+            raise ValidationError(
+                f"tree field 'branching' needs one factor per level of "
+                f"'depth' {self.depth}, not {len(self.branching)}")
 
     def _contains(self, p):
         return len(p) == self.depth and all(
-            0 <= sym < width for sym, width in zip(p, self.branching))
+            sym.__class__ is int and 0 <= sym < width
+            for sym, width in zip(p, self.branching))
 
     def distance(self, p, q):
         for i, (a, b_) in enumerate(zip(p, q)):
@@ -581,17 +581,9 @@ class TreeSpace(MetricSpace):
     def _node_paths(self, level):
         return itertools.product(*(range(f) for f in self.branching[:level]))
 
-    def _leftmost_leaf(self, prefix):
-        return tuple(prefix) + (0,) * (self.depth - len(prefix))
-
     def scan_points(self):
-        if self.node_count(self.depth) > _LEAF_ENUM_CAP:
-            # representative leaves at the deepest enumerable level
-            level = self.depth
-            while self.node_count(level) > _LEAF_ENUM_CAP:
-                level -= 1
-            return [self._leftmost_leaf(p) for p in self._node_paths(level)]
-        return [tuple(p) for p in self._node_paths(self.depth)]
+        # every leaf, or representatives at the deepest enumerable level
+        return self.covering(_LEAF_ENUM_CAP)[1]
 
     def canonical_least(self):
         return (0,) * self.depth
@@ -604,7 +596,9 @@ class TreeSpace(MetricSpace):
             level += 1
             if level > self.depth - 1:
                 raise ValidationError(
-                    "tree truncation too shallow for this radius")
+                    f"the ball-tree children of a ball of radius {radius!r} "
+                    f"lie below the tree field 'depth' {self.depth}: lower "
+                    f"'tree_depth' or raise 'depth'")
         sym = (center[level] + 1) % self.branching[level]
         return tuple(center[:level]) + (sym,) + (0,) * (self.depth - level - 1)
 
@@ -616,7 +610,9 @@ class TreeSpace(MetricSpace):
             else:
                 break
         delta = self.eps ** level if level < self.depth else 0.0
-        points = [self._leftmost_leaf(p) for p in self._node_paths(level)]
+        # the leftmost leaf of each node
+        points = [tuple(p) + (0,) * (self.depth - level)
+                  for p in self._node_paths(level)]
         return delta, points
 
     def covering_number(self, delta):

@@ -304,10 +304,12 @@ def make_sibling_ensemble(space, tree, delta):
         FiniteMeasure(atoms, probs(delta, 0.0), "left"),
         FiniteMeasure(atoms, probs(0.0, delta), "right"),
     ]
+    # each sibling's needle at each strategy, 0.0 outside its ball
+    needles = [{key: value for key, value, _ in neutral.active_terms(x)}
+               for x in strategies]
     payoffs = np.array([
-        [0.5 + s1 * inst_mod.needle_eval(left, x, space)
-         + s2 * inst_mod.needle_eval(right, x, space)
-         for x in strategies]
+        [0.5 + s1 * v.get(left.path, 0.0) + s2 * v.get(right.path, 0.0)
+         for v in needles]
         for s1, s2 in atoms
     ])
     spec = EnsembleSpec(measures, strategies, payoffs,

@@ -76,6 +76,10 @@ def test_dimension_command(tmp_path, capsys):
                      "--grid", "0.0625,0.03125,0.015625"]) == 0
     out = capsys.readouterr().out
     assert "estimate=1.0000" in out
+    # the default grid, 2^-4 down to 2^-12
+    assert cli.main(["dimension", "--space", space_path]) == 0
+    out = capsys.readouterr().out
+    assert "delta=0.000244141  N=4096" in out and "estimate=1.0000" in out
 
 
 @pytest.mark.parametrize("grid", [
@@ -299,7 +303,7 @@ def test_simulate_config_horizon_and_seed_must_be_ints(tmp_path, capsys,
     assert f"{field!r}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("arms", [[0.0, 5.0], [0.5], 1.0])
+@pytest.mark.parametrize("arms", [[0.0, 5.0], [0.5], 1.0, [True]])
 def test_simulate_ucb1_arm_outside_space_exits_1(tmp_path, capsys, arms):
     space = sps.FiniteSpace([0.0, 1.0]).descriptor()
     config = _write(tmp_path, "cfg.json", {
@@ -309,6 +313,18 @@ def test_simulate_ucb1_arm_outside_space_exits_1(tmp_path, capsys, arms):
         "seed": 0})
     assert cli.main(["simulate", config]) == 1
     assert "'arms'" in capsys.readouterr().err
+
+
+def test_simulate_unwritable_out_exits_2(tmp_path, capsys):
+    space = sps.FiniteSpace([0.0, 1.0]).descriptor()
+    config = _write(tmp_path, "cfg.json", {
+        "space": space,
+        "instance": {"kind": "arms", "space": space, "means": [0.3, 0.7]},
+        "algorithm": {"name": "ucb1", "arms": [0.0, 1.0]}, "horizon": 8,
+        "seed": 0})
+    out = tmp_path / "no-such-dir" / "x.json"
+    assert cli.main(["simulate", config, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err and not out.exists()
 
 
 def test_simulate_config_unknown_field_exits_1(tmp_path, capsys):
@@ -678,6 +694,10 @@ def _depth_peak(level):
     *((dict(instance, seed=seed), "field 'seed'") for seed in (-1, "x")
       for instance in (_LINEAGE, _NONCOMPACT,
                        {"kind": "maxminlcd", "space": _INTERVAL})),
+    # a JSON true is not the point 1, nor a fraction a tree-leaf symbol
+    (dict(_PEAK, peak=True), "'peak'"),
+    *(({"kind": "peak", "space": {"kind": "tree", "depth": 2}, "peak": peak,
+        "slope": 0.5, "c": 0.9}, "'peak'") for peak in ([True, 0], [0.5, 0])),
 ])
 def test_simulate_instance_field_of_wrong_form_exits_1(tmp_path, capsys,
                                                        instance, field):
@@ -688,6 +708,21 @@ def test_simulate_instance_field_of_wrong_form_exits_1(tmp_path, capsys,
               "algorithm": algorithm, "horizon": 16, "seed": 0}
     assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("space, fields", [
+    (_INTERVAL, ("'tree_depth'", "'resolution'")),
+    ({"kind": "tree", "depth": 3}, ("'tree_depth'", "'depth'")),
+], ids=["interval", "tree"])
+def test_simulate_ball_tree_finer_than_its_space_names_fields(
+        tmp_path, capsys, space, fields):
+    instance = dict(_LINEAGE, space=space,
+                    tree_depth=6 if space is _INTERVAL else 5)
+    config = {"space": space, "instance": instance,
+              "algorithm": {"name": "phased_ucb1"}, "horizon": 16, "seed": 0}
+    assert cli.main(["simulate", _write(tmp_path, "cfg.json", config)]) == 1
+    err = capsys.readouterr().err
+    assert all(field in err for field in fields), err
 
 
 @pytest.mark.parametrize("space, instance, inner", [

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -53,12 +54,18 @@ def _lineage(depth=3, **kw):
 
 
 def test_needle_shape():
-    node = sps.BallNode(0.5, 0.2)
-    space = _interval()
-    assert inst.needle_eval(node, 0.5, space) == pytest.approx(0.1)
-    assert inst.needle_eval(node, 0.45, space) == pytest.approx(0.1)
-    assert inst.needle_eval(node, 0.65, space) == pytest.approx(0.05)
-    assert inst.needle_eval(node, 0.71, space) == 0.0
+    # one needle on B(0.5, 0.2): a lineage of one unbiased child
+    root = sps.BallNode(0.5, 1.0, children=[sps.BallNode(0.5, 0.2, "0")])
+    li = inst.LineageInstance(_interval(), sps.BallTree(root, 1), depth_cap=1,
+                              biases=[0.0], lineage="leftmost")
+
+    def needle(x):
+        return sum(value for _key, value, _bias in li.active_terms(x))
+
+    assert needle(0.5) == pytest.approx(0.1)
+    assert needle(0.45) == pytest.approx(0.1)
+    assert needle(0.65) == pytest.approx(0.05)
+    assert needle(0.71) == 0.0
 
 
 def test_lineage_mu_star_attained_on_path():
@@ -374,11 +381,72 @@ def test_bandit_reward_binary_for_bernoulli():
     lambda: _logt(1),
     lambda: _wedges(),
     lambda: inst.MaxMinLCDInstance(_interval(), depth_cap=2, seed=3),
+    # tree leaves are tuples, written as JSON lists
+    lambda: inst.PeakInstance(sps.TreeSpace(depth=3), (0, 1, 0), 0.5,
+                              c=0.9),
+    lambda: inst.LogTEnsembleInstance(sps.TreeSpace(eps=0.25, depth=4),
+                                      [(1, 0, 0, 0), (0, 0, 1, 0)], 1,
+                                      x_star=(0, 0, 0, 0)),
 ])
 def test_instance_descriptor_round_trip(build):
     a = build()
+    # the descriptor is already what a JSON file gives back
+    assert json.loads(json.dumps(a.descriptor())) == a.descriptor()
     b = inst.instance_from_descriptor(a.descriptor())
     assert b.descriptor() == a.descriptor()
     assert b.mu_star == pytest.approx(a.mu_star)
     for x in (0.0, 0.25, 0.8) if a.space.kind == "interval" else a.space.scan_points():
         assert b.mean(x) == pytest.approx(a.mean(x))
+
+
+# ---------------------------------------------------------------------------
+# input checks
+
+
+_TREE3 = sps.TreeSpace(depth=3)
+
+
+def _tree2(space=None):
+    return sps.build_ball_tree(space or _interval(), 2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: inst.ConstantInstance(_interval(), 1.5), "c must be in [0,1]"),
+    (lambda: inst.ConstantInstance(_interval(), -0.5), "c must be in [0,1]"),
+    (lambda: inst.LineageInstance(_interval(), _tree2(), depth_cap=3),
+     "'depth_cap'"),
+    (lambda: inst.LineageInstance(_interval(), _tree2(), depth_cap=2,
+                                  biases=[0.1]), "one bias per depth"),
+    (lambda: inst.LineageInstance(_interval(), _tree2(), depth_cap=2,
+                                  biases=[0.1, 1.5]), "biases must lie"),
+    (lambda: inst.LineageInstance(_interval(), _tree2(), depth_cap=2,
+                                  biases=[-0.1, 0.1]), "biases must lie"),
+    (lambda: inst.LogTEnsembleInstance(_interval(), [], 0, x_star=0.5),
+     "at least one sequence point"),
+    (lambda: inst.LogTEnsembleInstance(_interval(), [0.5], 0),
+     "at least one sequence point"),
+    (lambda: inst.LogTEnsembleInstance(_interval(), [0.9], 2, x_star=0.5),
+     "member index out of range"),
+    (lambda: inst.NoncompactInstance([0.1, 0.5], 0.6, sizes=[2]),
+     "base radius"),
+    (lambda: inst.NoncompactInstance([0.1, 0.5], 0.0, sizes=[2]),
+     "base radius"),
+    (lambda: sps.FiniteSpace([]), "at least one point"),
+    (lambda: sps.TreeSpace(depth=3, branching=[2, 2]), "'branching'"),
+    (lambda: sps.estimate_dimension(_interval(), "cov", [0.5, 0.25, 0.0]),
+     "delta must be positive"),
+    (lambda: sps.estimate_dimension(_interval(), "lcd", [4.0, 2.0, 1.0]),
+     "N_delta >= 2"),
+    (lambda: _TREE3.covering_number(0.01), "below tree truncation"),
+    (lambda: sps.ordering_oracle(_TREE3, [sps.Ball((0, 0, 0), 0.5)]),
+     "points on the line"),
+], ids=["constant-c-high", "constant-c-low", "lineage-depth-cap",
+        "lineage-bias-count", "lineage-bias-high", "lineage-bias-low",
+        "logt-empty-seq", "logt-x-star-only", "logt-i", "noncompact-r-high",
+        "noncompact-r-zero", "finite-no-coords", "tree-branching",
+        "dimension-zero-delta", "dimension-lcd-one-set", "tree-fine-delta",
+        "scan-tree-points"])
+def test_input_check_names_its_field(build, message):
+    with pytest.raises(ValidationError) as exc:
+        build()
+    assert message in str(exc.value)

@@ -228,6 +228,23 @@ def test_lipschitz_certify_passes_lineage():
     assert cert.passed
 
 
+def test_lipschitz_certify_on_a_point_set_space():
+    """Off the interval and the tree, the pairs are drawn from the scan
+    set: a slope-1/2 peak passes and a slope-3 ramp fails."""
+    space = sps.ConvergentSpace(20)
+    rng = np.random.default_rng(0)
+    assert {vf.random_point(space, rng) for _ in range(200)} <= set(
+        space.scan_points())
+
+    class Ramp(inst.PayoffInstance):
+        def mean(self, x):
+            return min(1.0, 3.0 * x)
+
+    peak = inst.PeakInstance(space, 0.0, 0.5, c=0.9)
+    assert vf.lipschitz_certify(peak, 500, 0, rng).passed
+    assert not vf.lipschitz_certify(Ramp(space), 500, 0, rng).passed
+
+
 def test_lipschitz_certify_fails_corrupted():
     space = sps.IntervalSpace()
 
